@@ -68,24 +68,22 @@ let configure_jobs = function
   | Some _ -> die ~code:2 "--jobs must be positive"
   | None -> ()
 
-(* engine switchboard (lib/vm): all engines produce bit-identical outcomes,
-   so this only trades speed (and, for native, a compile step) *)
+(* engine switchboard (lib/vm): both engines produce bit-identical
+   outcomes, so this only trades speed *)
 let engine_arg =
   Arg.(
     value
     & opt string "vm"
-    & info [ "engine" ] ~docv:"vm|ref|native"
+    & info [ "engine" ] ~docv:"vm|ref"
         ~doc:
           "Execution engine: the pre-compiling virtual machine ($(b,vm), \
-           default), the frozen reference interpreter ($(b,ref)), or the \
-           native tier ($(b,native): IR compiled to OCaml and dynlinked; \
-           falls back to $(b,vm) with a warning when no ocamlfind/ocamlopt \
-           toolchain is on PATH); outcomes are bit-identical.")
+           default) or the frozen reference interpreter ($(b,ref)); \
+           outcomes are bit-identical.")
 
 let configure_engine s =
   match Yali.Execution.engine_of_string s with
   | Some e -> Yali.Execution.set_engine e
-  | None -> die ~code:2 "unknown engine %s (have: vm ref native)" s
+  | None -> die ~code:2 "unknown engine %s (have: vm ref)" s
 
 (* fail on an unwritable report path before the game runs, not after *)
 let configure_telemetry = function
@@ -145,8 +143,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Execute a mini-C program (VM by default, --engine=ref for the \
-             reference interpreter, --engine=native for the dynlinked \
-             native tier).")
+             reference interpreter).")
     Term.(const run $ engine_arg $ level_arg $ src_arg $ input_arg)
 
 (* -- obfuscate ------------------------------------------------------------- *)

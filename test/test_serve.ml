@@ -68,7 +68,12 @@ let test_codec_rejects_corruption () =
   (let badsec = Bytes.of_string blob in
    (* first section tag byte follows the 7-byte header *)
    Bytes.set badsec 7 '\xee';
-   expect_corrupt "unknown section tag" (Bytes.to_string badsec))
+   expect_corrupt "unknown section tag" (Bytes.to_string badsec));
+  (let huge = Bytes.of_string blob in
+   (* the string-table count follows the header, the section tag and the
+      section's u32 length: a hostile count must fail before allocating *)
+   Bytes.set_int32_le huge 12 0xFFFF_FFFFl;
+   expect_corrupt "overlong string-table count" (Bytes.to_string huge))
 
 let test_codec_file_io () =
   let m = Pipeline.optimize Pipeline.O2 (lower (dataset_program 4)) in
