@@ -1378,8 +1378,9 @@ let nn_chain_graph ~(n : int) ~(flavor : int) : E.Graph.t =
   { E.Graph.node_feats = feats; edges; feat_dim = 4 }
 
 (** The neural tier (DESIGN.md §15): the kernelized minibatch trainers
-    against the frozen naive reference in [Ml.Reference], on the same
-    synthetic shapes the differential tests pin.  Reports wall seconds,
+    against the frozen naive reference in [Ml.Reference] — the cnn on
+    gaussian blobs, the dgcnn on real program graphs (plus a secondary row
+    of synthetic chains).  Reports wall seconds,
     speedup, and training throughput; re-checks the bit-identity contract
     (kernel = reference, --jobs 1 = --jobs 4, streamed = in-memory) on the
     benchmark workload itself.  Written to [BENCH_nn.json]; exits nonzero
@@ -1401,9 +1402,108 @@ let best_pair ~reps f g =
   done;
   (!bf, !bg)
 
+type dgcnn_row = {
+  d_graphs : int;
+  d_nodes_max : int;  (** largest graph, before the [max_nodes] cap *)
+  d_capped : int;  (** graphs over [max_nodes] *)
+  d_ref_s : float;
+  d_ker_s : float;
+  d_weights : bool;  (** kernel = frozen reference, bitwise *)
+  d_jobs : bool;  (** --jobs 1 = --jobs 4 *)
+  d_stream : bool;  (** streamed {!Ml.Gsource} = in-memory *)
+}
+
+(* One dgcnn row: reference vs kernel training summed over the graph sets
+   (interleaved best-of-2), with the bit-identity contract re-checked on
+   every set. *)
+let dgcnn_row ~label ~(params : Ml.Dgcnn.params) ~n_classes
+    (sets : (E.Graph.t array * int array) list) : dgcnn_row =
+  let feat_dim (graphs : E.Graph.t array) = graphs.(0).E.Graph.feat_dim in
+  let train_ref (graphs, ys) =
+    Ml.Reference.Dgcnn.train ~params (Rng.make 31) ~n_classes
+      ~feat_dim:(feat_dim graphs) graphs ys
+  in
+  let train_ker (graphs, ys) =
+    Ml.Dgcnn.train ~params (Rng.make 31) ~n_classes
+      ~feat_dim:(feat_dim graphs) graphs ys
+  in
+  let refs = ref [] and kers = ref [] in
+  let t_ref, t_ker =
+    best_pair ~reps:2
+      (fun () -> refs := List.map train_ref sets)
+      (fun () -> kers := List.map train_ker sets)
+  in
+  let dump = Ml.Dgcnn.dump_weights in
+  let weights =
+    List.for_all2 (fun r k -> dump_eq (dump r) (dump k)) !refs !kers
+  in
+  let jobs =
+    List.for_all
+      (fun set ->
+        let at j =
+          Yali.Exec.Pool.with_jobs j (fun () -> dump (train_ker set))
+        in
+        dump_eq (at 1) (at 4))
+      sets
+  in
+  let stream =
+    List.for_all2
+      (fun (graphs, ys) k ->
+        let streamed =
+          Ml.Model.train_dgcnn_stream ~params (Rng.make 31) ~n_classes
+            (Ml.Gsource.of_graphs graphs) ys
+        in
+        dump_eq (dump k) (dump streamed))
+      sets !kers
+  in
+  let graphs = Array.concat (List.map fst sets) in
+  let nodes = Array.map E.Graph.node_count graphs in
+  let row =
+    {
+      d_graphs = Array.length graphs;
+      d_nodes_max = Array.fold_left max 0 nodes;
+      d_capped =
+        Array.fold_left
+          (fun acc v -> if v > params.Ml.Dgcnn.max_nodes then acc + 1 else acc)
+          0 nodes;
+      d_ref_s = t_ref;
+      d_ker_s = t_ker;
+      d_weights = weights;
+      d_jobs = jobs;
+      d_stream = stream;
+    }
+  in
+  Printf.printf
+    "dgcnn, %s: %d graphs (largest %d nodes, %d over max_nodes %d), %d \
+     epochs, batch %d\n"
+    label row.d_graphs row.d_nodes_max row.d_capped params.Ml.Dgcnn.max_nodes
+    params.Ml.Dgcnn.epochs params.Ml.Dgcnn.batch;
+  Printf.printf
+    "  reference %.3fs   kernel %.3fs   speedup %.2fx   %.0f graphs/s\n" t_ref
+    t_ker (t_ref /. t_ker)
+    (float_of_int (row.d_graphs * params.Ml.Dgcnn.epochs) /. t_ker);
+  Printf.printf
+    "  weights bit-identical: %b   jobs-invariant (1 vs 4): %b   \
+     streamed-identical: %b\n\n%!"
+    weights jobs stream;
+  row
+
+let dgcnn_row_identical r = r.d_weights && r.d_jobs && r.d_stream
+
+let dgcnn_row_json (params : Ml.Dgcnn.params) (r : dgcnn_row) : string =
+  Printf.sprintf
+    "{\"graphs\": %d, \"largest_graph_nodes\": %d, \"max_nodes\": %d, \
+     \"graphs_over_max_nodes\": %d, \"epochs\": %d, \
+     \"reference_seconds\": %.4f, \"kernel_seconds\": %.4f, \"speedup\": \
+     %.2f, \"train_graphs_per_s\": %.0f, \"weights_identical\": %b, \
+     \"jobs_invariant\": %b, \"stream_identical\": %b}"
+    r.d_graphs r.d_nodes_max params.Ml.Dgcnn.max_nodes r.d_capped
+    params.Ml.Dgcnn.epochs r.d_ref_s r.d_ker_s (r.d_ref_s /. r.d_ker_s)
+    (float_of_int (r.d_graphs * params.Ml.Dgcnn.epochs) /. r.d_ker_s)
+    r.d_weights r.d_jobs r.d_stream
+
 let nn_bench () =
   header "Neural tier: minibatch Fmat kernels vs the frozen naive trainer";
-  let clock = Yali.Exec.Telemetry.clock in
 
   (* cnn: flat gaussian blobs, wide enough that the matmuls dominate (the
      shape regime Fig 5's feature vectors live in) *)
@@ -1488,59 +1588,50 @@ let nn_bench () =
      streamed-identical: %b\n\n%!"
     weights_ok jobs_ok stream_ok;
 
-  (* dgcnn: two-class chain graphs (the shape the differential tests pin) *)
-  let gn = scale 96 in
-  let grng = Rng.make 21 in
-  let graphs =
-    Array.init gn (fun i ->
-        if i mod 2 = 0 then nn_chain_graph ~n:(4 + Rng.int grng 3) ~flavor:0
-        else nn_chain_graph ~n:(9 + Rng.int grng 3) ~flavor:1)
-  in
-  let gys = Array.init gn (fun i -> i mod 2) in
+  (* dgcnn, primary row: programl and cdfg graphs of generated programs,
+     plain and ollvm-obfuscated — the inputs Fig 5 and Game 1 give it.
+     One graph set per embedding, since their node-feature widths
+     differ. *)
   let gparams = { Ml.Dgcnn.default_params with epochs = 2 } in
-  Printf.printf "dgcnn: %d graphs, 2 classes, %d epochs, batch %d\n%!" gn
-    gparams.Ml.Dgcnn.epochs gparams.Ml.Dgcnn.batch;
-  let t0 = clock () in
-  let ref_g =
-    Ml.Reference.Dgcnn.train ~params:gparams (Rng.make 31) ~n_classes:2
-      ~feat_dim:4 graphs gys
+  let n_classes_g = 4 in
+  let program_sets =
+    let rng = Rng.make 23 in
+    let split =
+      Yali.Dataset.Poj.make rng ~n_classes:n_classes_g
+        ~train_per_class:(scale 8) ~test_per_class:0
+    in
+    let plain, _ = G.Arena.build_modules (Rng.split rng) G.Game.game0 split in
+    let obf, _ =
+      G.Arena.build_modules (Rng.split rng) (G.Game.game2 Ob.Evader.ollvm)
+        split
+    in
+    let mods = Array.append plain obf in
+    List.map
+      (fun emb ->
+        ( Array.map (fun (m, _) -> E.Embedding.to_graph emb m) mods,
+          Array.map snd mods ))
+      [ E.Embedding.programl; E.Embedding.cdfg ]
   in
-  let t_gref = clock () -. t0 in
-  let t0 = clock () in
-  let ker_g =
-    Ml.Dgcnn.train ~params:gparams (Rng.make 31) ~n_classes:2 ~feat_dim:4
-      graphs gys
+  let program_row =
+    dgcnn_row ~label:"program graphs (programl + cdfg, plain + ollvm)"
+      ~params:gparams ~n_classes:n_classes_g program_sets
   in
-  let t_gker = clock () -. t0 in
-  let gweights_ok =
-    dump_eq (Ml.Dgcnn.dump_weights ref_g) (Ml.Dgcnn.dump_weights ker_g)
+  (* secondary row: two-class chain graphs (the shape the differential
+     tests pinned first) *)
+  let chain_row =
+    let gn = scale 96 in
+    let grng = Rng.make 21 in
+    let graphs =
+      Array.init gn (fun i ->
+          if i mod 2 = 0 then nn_chain_graph ~n:(4 + Rng.int grng 3) ~flavor:0
+          else nn_chain_graph ~n:(9 + Rng.int grng 3) ~flavor:1)
+    in
+    dgcnn_row ~label:"chain graphs" ~params:gparams ~n_classes:2
+      [ (graphs, Array.init gn (fun i -> i mod 2)) ]
   in
-  let dgcnn_at jobs =
-    Yali.Exec.Pool.with_jobs jobs (fun () ->
-        Ml.Dgcnn.dump_weights
-          (Ml.Dgcnn.train ~params:gparams (Rng.make 31) ~n_classes:2
-             ~feat_dim:4 graphs gys))
-  in
-  let gjobs_ok = dump_eq (dgcnn_at 1) (dgcnn_at 4) in
-  let streamed_g =
-    Ml.Model.train_dgcnn_stream ~params:gparams (Rng.make 31) ~n_classes:2
-      (Ml.Gsource.of_graphs graphs) gys
-  in
-  let gstream_ok =
-    dump_eq (Ml.Dgcnn.dump_weights ker_g) (Ml.Dgcnn.dump_weights streamed_g)
-  in
-  let gspeedup = t_gref /. t_gker in
-  let graphs_s = float_of_int (gn * gparams.Ml.Dgcnn.epochs) /. t_gker in
-  Printf.printf "  reference %.3fs   kernel %.3fs   speedup %.2fx   %.0f graphs/s\n"
-    t_gref t_gker gspeedup graphs_s;
-  Printf.printf
-    "  weights bit-identical: %b   jobs-invariant (1 vs 4): %b   \
-     streamed-identical: %b\n%!"
-    gweights_ok gjobs_ok gstream_ok;
-
   let identical =
-    weights_ok && jobs_ok && stream_ok && gweights_ok && gjobs_ok
-    && gstream_ok
+    weights_ok && jobs_ok && stream_ok && dgcnn_row_identical program_row
+    && dgcnn_row_identical chain_row
   in
   let pass = step_speedup >= 5.0 && identical in
   let oc = open_out nn_json in
@@ -1556,13 +1647,9 @@ let nn_bench () =
      \"stream_identical\": %b},\n"
     n d n_classes params.Ml.Cnn.epochs m t_sref t_sker step_speedup t_ref
     t_ker speedup rows_s weights_ok jobs_ok stream_ok;
-  Printf.fprintf oc
-    "  \"dgcnn\": {\"graphs\": %d, \"epochs\": %d, \"reference_seconds\": \
-     %.4f, \"kernel_seconds\": %.4f, \"speedup\": %.2f, \
-     \"train_graphs_per_s\": %.0f, \"weights_identical\": %b, \
-     \"jobs_invariant\": %b, \"stream_identical\": %b},\n"
-    gn gparams.Ml.Dgcnn.epochs t_gref t_gker gspeedup graphs_s gweights_ok
-    gjobs_ok gstream_ok;
+  Printf.fprintf oc "  \"dgcnn\": %s,\n" (dgcnn_row_json gparams program_row);
+  Printf.fprintf oc "  \"dgcnn_chains\": %s,\n"
+    (dgcnn_row_json gparams chain_row);
   Printf.fprintf oc "  \"pass\": %b\n}\n" pass;
   close_out oc;
   Printf.printf "nn summary written to %s\n" nn_json;

@@ -722,30 +722,63 @@ let gen_graph_case (rng : Rng.t) =
 let show_graph_case (n, feat_dim, seed) =
   Printf.sprintf "graphs n=%d feat_dim=%d seed=%d" n feat_dim seed
 
-let nn_random_graphs (seed : int) ~(n : int) ~(feat_dim : int) :
+let dgcnn_max_nodes = 8
+
+let dgcnn_graphs (seed : int) ~(n : int) ~(feat_dim : int) :
     Graph.t array * int array =
   let rng = Rng.make seed in
-  let graphs =
-    Array.init n (fun i ->
-        let nodes = 3 + Rng.int rng 8 + if i mod 2 = 0 then 0 else 4 in
-        let feats =
-          Array.init nodes (fun _ ->
-              Array.init feat_dim (fun _ -> float_of_int (Rng.int rng 5)))
-        in
-        let edges =
-          List.init (nodes - 1) (fun k -> (k, k + 1, Graph.Control))
-        in
-        { Graph.node_feats = feats; edges; feat_dim })
+  let graph i =
+    let nodes =
+      match i mod 5 with
+      | 0 -> 0
+      | 1 -> dgcnn_max_nodes + 1 + Rng.int rng 8
+      | _ -> 1 + Rng.int rng dgcnn_max_nodes
+    in
+    let feats =
+      Array.init nodes (fun _ ->
+          Array.init feat_dim (fun _ -> float_of_int (Rng.int rng 6 - 1)))
+    in
+    let node () = Rng.int rng (max 1 nodes) in
+    let spine =
+      List.init (max 0 (nodes - 1)) (fun k -> (k, k + 1, Graph.Control))
+    in
+    let extra =
+      List.init (2 + Rng.int rng 6) (fun _ ->
+          match (Rng.int rng 4, spine) with
+          | 0, _ ->
+              let v = node () in
+              (v, v, Graph.Data)
+          | 1, _ :: _ -> List.nth spine (Rng.int rng (List.length spine))
+          | 2, _ -> (node (), nodes + Rng.int rng 3, Graph.Call)
+          | _ -> (node (), node (), Graph.Memory))
+    in
+    (* interleave the extras with the spine: CSR order must follow the
+       edge list's order *)
+    let edges = Array.of_list (spine @ extra) in
+    for k = Array.length edges - 1 downto 1 do
+      let j = Rng.int rng (k + 1) in
+      let t = edges.(k) in
+      edges.(k) <- edges.(j);
+      edges.(j) <- t
+    done;
+    { Graph.node_feats = feats; edges = Array.to_list edges; feat_dim }
   in
-  (graphs, Array.init n (fun i -> i mod 2))
+  (Array.init n graph, Array.init n (fun i -> i mod 2))
 
-let nn_params_small = { Ml.Dgcnn.default_params with epochs = 1; batch = 8 }
+let nn_params_small =
+  {
+    Ml.Dgcnn.default_params with
+    epochs = 1;
+    batch = 8;
+    max_nodes = dgcnn_max_nodes;
+  }
 
 (* The full dgcnn minibatch trainer (parallel forward shards, batched head
    step, tree-reduced graph-conv gradients) against the sequential naive
-   Reference.Dgcnn. *)
+   Reference.Dgcnn, then both models' predictions on the same graphs —
+   empty, capped, with self-loops, duplicate and out-of-range edges. *)
 let dgcnn_kernel_vs_reference (n, feat_dim, seed) =
-  let graphs, ys = nn_random_graphs seed ~n ~feat_dim in
+  let graphs, ys = dgcnn_graphs seed ~n ~feat_dim in
   let kernel =
     Ml.Dgcnn.train ~params:nn_params_small (Rng.make seed) ~n_classes:2
       ~feat_dim graphs ys
@@ -755,6 +788,8 @@ let dgcnn_kernel_vs_reference (n, feat_dim, seed) =
       ~n_classes:2 ~feat_dim graphs ys
   in
   Ml.Dgcnn.dump_weights kernel = Ml.Dgcnn.dump_weights naive
+  && Array.map (Ml.Dgcnn.predict kernel) graphs
+     = Array.map (Ml.Reference.Dgcnn.predict naive) graphs
 
 (* Sharded gradient accumulation reduces in a fixed tree order, so weights
    are a function of the data alone, never of the worker count. *)
@@ -787,7 +822,7 @@ let nn_stream_vs_inmem (n, feat_dim, seed) =
     | _ -> false
   in
   let dgcnn_ok =
-    let graphs, ys = nn_random_graphs seed ~n ~feat_dim in
+    let graphs, ys = dgcnn_graphs seed ~n ~feat_dim in
     let inmem =
       Ml.Dgcnn.train ~params:nn_params_small (Rng.make seed) ~n_classes:2
         ~feat_dim graphs ys

@@ -43,6 +43,16 @@ val corpus : Prop.t list
     dgcnn weight dumps over a {!Yali_ml.Gsource}). *)
 val nn : Prop.t list
 
+(** Seeded dgcnn fixtures with every graph shape the prepared CSR form
+    must reproduce: empty graphs, graphs over {!dgcnn_max_nodes}, and
+    edge lists mixing a chain with self-loops, duplicate edges and
+    endpoints past the last node.  Labels alternate 0/1. *)
+val dgcnn_graphs :
+  int -> n:int -> feat_dim:int -> Yali_embeddings.Graph.t array * int array
+
+(** The [max_nodes] cap the dgcnn oracles train under. *)
+val dgcnn_max_nodes : int
+
 (** {!Yali_adapt}: the [adapt/search-determinism] oracle — the same seed
     at any [--jobs] must yield an identical report (pass sequences and
     Pareto front, structural identity), and every front must be

@@ -1,7 +1,7 @@
 (** Zhang et al.'s Deep Graph Convolutional Neural Network (AAAI'18), the
     [dgcnn] model of the paper (§3.2):
 
-    1. four graph-convolution layers (channel widths 32, 32, 32 and 1) with
+    1. four graph-convolution layers (channel widths 16, 16, 16 and 1) with
        hyperbolic-tangent activation: Z_l = tanh(D⁻¹ Â Z_(l-1) W_l);
     2. sort pooling on the last (1-wide) channel, keeping the top-k nodes;
     3. a one-dimensional convolution;
@@ -16,14 +16,18 @@
     in seconds on synthetic corpora; the architecture is otherwise as
     published.
 
-    Training is minibatch SGD (DESIGN.md §15): per batch, every graph's
-    forward pass runs in parallel shards over {!Yali_exec.Pool}, the pooled
-    flat vectors feed one batched {!Nn.train_batch} step of the head, and
-    the graph-convolution gradients are accumulated per shard and merged in
-    a fixed tree order — bit-identical at any [--jobs] and to the frozen
-    naive trainer in [Reference.Dgcnn].  {!train_source} consumes a
-    {!Gsource.t} (graphs streamed from a corpus store); {!train} is the
-    in-memory special case. *)
+    Graphs are first {e prepared}: capped to [max_nodes], their
+    neighbourhoods indexed as CSR arrays, their node features squashed and
+    propagated through the first layer's P = D⁻¹ Â.  Training is minibatch
+    SGD (DESIGN.md §15): per batch, every graph's forward pass runs in
+    parallel shards over {!Yali_exec.Pool}, the pooled flat vectors feed
+    one batched {!Nn.train_batch} step of the head, and the
+    graph-convolution gradients are accumulated per shard and merged in a
+    fixed tree order — bit-identical at any [--jobs] and to the frozen
+    naive trainer in [Reference.Dgcnn].  {!train} prepares every graph once
+    per run; {!train_source} consumes a {!Gsource.t} (graphs streamed from
+    a corpus store) and prepares each graph on every visit, so it never
+    holds more than one minibatch.  Both run the same epoch loop. *)
 
 module Rng = Yali_util.Rng
 module Pool = Yali_exec.Pool
@@ -59,44 +63,117 @@ type t = {
   n_classes : int;
 }
 
-(* Propagation: Y = D^-1 (A + I) X, computed over adjacency lists. *)
-let propagate (adj : int list array) (x : Matrix.t) : Matrix.t =
+(* A graph made ready for convolution: capped, indexed, squashed and
+   propagated once, then shared by every epoch that visits it. *)
+type prepared = {
+  offsets : int array;
+      (** CSR row starts: row [i]'s neighbourhood is
+          [neighbours.(offsets.(i)) .. neighbours.(offsets.(i+1) - 1)] *)
+  neighbours : int array;
+      (** N(i) ∪ {i} per row, in the order [i :: Graph.undirected_adjacency]
+          lists it, so every propagated sum keeps its term order *)
+  deg : float array;  (** row lengths |N(i) ∪ {i}| *)
+  px0 : Matrix.t;
+      (** P·X0: the log1p-squashed node features, propagated — the first
+          layer's input, which no weight update changes *)
+}
+
+(* Propagation: Y = D^-1 (A + I) X.  Each output row accumulates its
+   neighbours' rows in CSR order, dividing every term by the degree. *)
+let propagate (g : prepared) (x : Matrix.t) : Matrix.t =
   let n = x.Matrix.rows and d = x.Matrix.cols in
   let y = Matrix.create n d in
+  let xd = x.Matrix.data and yd = y.Matrix.data in
   for i = 0 to n - 1 do
-    let neigh = i :: adj.(i) in
-    let deg = float_of_int (List.length neigh) in
-    List.iter
-      (fun j ->
-        for c = 0 to d - 1 do
-          Matrix.set y i c (Matrix.get y i c +. (Matrix.get x j c /. deg))
-        done)
-      neigh
+    let deg = g.deg.(i) and yb = i * d in
+    for k = g.offsets.(i) to g.offsets.(i + 1) - 1 do
+      let xb = Array.unsafe_get g.neighbours k * d in
+      for c = 0 to d - 1 do
+        Array.unsafe_set yd (yb + c)
+          (Array.unsafe_get yd (yb + c)
+          +. (Array.unsafe_get xd (xb + c) /. deg))
+      done
+    done
   done;
   y
 
 (* Transposed propagation for the backward pass: given dY, returns dX where
    Y = P X and P_(i,j) = 1/deg(i) for j in N(i) u {i}. *)
-let propagate_t (adj : int list array) (dy : Matrix.t) : Matrix.t =
+let propagate_t (g : prepared) (dy : Matrix.t) : Matrix.t =
   let n = dy.Matrix.rows and d = dy.Matrix.cols in
   let dx = Matrix.create n d in
+  let dyd = dy.Matrix.data and dxd = dx.Matrix.data in
   for i = 0 to n - 1 do
-    let neigh = i :: adj.(i) in
-    let deg = float_of_int (List.length neigh) in
-    List.iter
-      (fun j ->
-        for c = 0 to d - 1 do
-          Matrix.set dx j c (Matrix.get dx j c +. (Matrix.get dy i c /. deg))
-        done)
-      neigh
+    let deg = g.deg.(i) and yb = i * d in
+    for k = g.offsets.(i) to g.offsets.(i + 1) - 1 do
+      let xb = Array.unsafe_get g.neighbours k * d in
+      for c = 0 to d - 1 do
+        Array.unsafe_set dxd (xb + c)
+          (Array.unsafe_get dxd (xb + c)
+          +. (Array.unsafe_get dyd (yb + c) /. deg))
+      done
+    done
   done;
   dx
 
+(* squash count-valued node features (e.g. per-block histograms of the
+   compact embeddings): raw counts saturate the tanh units *)
+let squash v = Float.copy_sign (log1p (Float.abs v)) v
+
+let prepare (p : params) (g : Graph.t) : prepared =
+  (* an empty graph is treated as a single zero-feature node *)
+  let feats, edges =
+    if Graph.node_count g = 0 then ([| Array.make g.feat_dim 0.0 |], [])
+    else (g.node_feats, g.edges)
+  in
+  (* cap the graph size: keep a prefix subgraph *)
+  let n = min (Array.length feats) p.max_nodes in
+  let kept (s, d, _) = s < n && d < n in
+  (* row lengths, then fill each row back to front: undirected_adjacency
+     prepends, so the last edge seen is the first neighbour after i *)
+  let len = Array.make n 1 in
+  List.iter
+    (fun ((s, d, _) as e) ->
+      if kept e then begin
+        len.(s) <- len.(s) + 1;
+        if s <> d then len.(d) <- len.(d) + 1
+      end)
+    edges;
+  let offsets = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    offsets.(i + 1) <- offsets.(i) + len.(i)
+  done;
+  let neighbours = Array.make offsets.(n) 0 in
+  let fill = Array.sub offsets 1 n in
+  let push i j =
+    fill.(i) <- fill.(i) - 1;
+    neighbours.(fill.(i)) <- j
+  in
+  List.iter
+    (fun ((s, d, _) as e) ->
+      if kept e then begin
+        push s d;
+        if s <> d then push d s
+      end)
+    edges;
+  for i = 0 to n - 1 do
+    neighbours.(offsets.(i)) <- i
+  done;
+  let fd = if n = 0 then 0 else Array.length feats.(0) in
+  let x0 = Matrix.create_uninit n fd in
+  for i = 0 to n - 1 do
+    let row = feats.(i) in
+    for c = 0 to fd - 1 do
+      x0.Matrix.data.((i * fd) + c) <- squash row.(c)
+    done
+  done;
+  let g = { offsets; neighbours; deg = Array.map float_of_int len; px0 = x0 } in
+  { g with px0 = propagate g x0 }
+
 type forward_state = {
-  adj : int list array;
+  graph : prepared;
   px_list : Matrix.t list;  (** P·Z_(l-1) per layer, pre-weights *)
   z_list : Matrix.t list;  (** post-tanh activations per layer *)
-  concat : Matrix.t;  (** n x total_channels *)
   order : int array;  (** node permutation chosen by sort pooling *)
   flat : float array;  (** pooled, flattened input to the head *)
 }
@@ -104,68 +181,46 @@ type forward_state = {
 let total_channels (p : params) = List.fold_left ( + ) 0 p.gc_channels
 
 let forward_graph (t_params : params) (gc_weights : Matrix.t list)
-    (g : Graph.t) : forward_state =
-  (* an empty graph is treated as a single zero-feature node *)
-  let g =
-    if Graph.node_count g = 0 then
-      { g with Graph.node_feats = [| Array.make g.feat_dim 0.0 |]; edges = [] }
-    else g
-  in
-  (* cap the graph size: keep a prefix subgraph *)
-  let g =
-    let cap = t_params.max_nodes in
-    if Graph.node_count g <= cap then g
-    else
-      {
-        g with
-        Graph.node_feats = Array.sub g.node_feats 0 cap;
-        edges = List.filter (fun (s, d, _) -> s < cap && d < cap) g.edges;
-      }
-  in
-  let adj = Graph.undirected_adjacency g in
-  (* squash count-valued node features (e.g. per-block histograms of the
-     compact embeddings): raw counts saturate the tanh units *)
-  let x0 =
-    Matrix.map (fun v -> Float.copy_sign (log1p (Float.abs v)) v)
-      (Matrix.of_rows g.node_feats)
-  in
-  let n = Matrix.(x0.rows) in
-  let rec go z ws px_acc z_acc =
+    (g : prepared) : forward_state =
+  let n = g.px0.Matrix.rows in
+  (* layer l convolves P·Z_(l-1); the first layer's P·X0 was propagated
+     by [prepare] *)
+  let rec go px ws px_acc z_acc =
     match ws with
     | [] -> (List.rev px_acc, List.rev z_acc)
     | w :: rest ->
-        let px = propagate adj z in
-        let zl = Matrix.map tanh (Matrix.matmul px w) in
-        go zl rest (px :: px_acc) (zl :: z_acc)
+        let zl = Matrix.matmul px w in
+        let d = zl.Matrix.data in
+        for i = 0 to Array.length d - 1 do
+          Array.unsafe_set d i (tanh (Array.unsafe_get d i))
+        done;
+        let px' = match rest with [] -> px | _ -> propagate g zl in
+        go px' rest (px :: px_acc) (zl :: z_acc)
   in
-  let px_list, z_list = go x0 gc_weights [] [] in
-  (* concatenate channels of every layer *)
-  let tc = total_channels t_params in
-  let concat = Matrix.create n tc in
-  let off = ref 0 in
-  List.iter
-    (fun (z : Matrix.t) ->
-      for i = 0 to n - 1 do
-        for c = 0 to z.Matrix.cols - 1 do
-          Matrix.set concat i (!off + c) (Matrix.get z i c)
-        done
-      done;
-      off := !off + z.Matrix.cols)
-    z_list;
-  (* sort pooling on the last channel *)
-  let k = t_params.sortpool_k in
+  let px_list, z_list = go g.px0 gc_weights [] [] in
+  (* sort pooling on the last channel of the last layer *)
+  let last = List.nth z_list (List.length z_list - 1) in
+  let lc = last.Matrix.cols in
+  let key = Array.create_float n in
+  for i = 0 to n - 1 do
+    key.(i) <- last.Matrix.data.((i * lc) + lc - 1)
+  done;
   let order = Array.init n Fun.id in
-  Array.sort
-    (fun a b -> compare (Matrix.get concat b (tc - 1)) (Matrix.get concat a (tc - 1)))
-    order;
+  Array.sort (fun a b -> Float.compare key.(b) key.(a)) order;
+  (* the top-k rows of every layer's channels, concatenated *)
+  let k = t_params.sortpool_k and tc = total_channels t_params in
   let flat = Array.make (k * tc) 0.0 in
   for r = 0 to min k n - 1 do
     let i = order.(r) in
-    for c = 0 to tc - 1 do
-      flat.((r * tc) + c) <- Matrix.get concat i c
-    done
+    ignore
+      (List.fold_left
+         (fun off (z : Matrix.t) ->
+           let c = z.Matrix.cols in
+           Array.blit z.Matrix.data (i * c) flat off c;
+           off + c)
+         (r * tc) z_list)
   done;
-  { adj; px_list; z_list; concat; order; flat }
+  { graph = g; px_list; z_list; order; flat }
 
 (* dL/dW per graph-convolution layer (in layer order) for one graph, given
    dL/d(flat) from the head — no weight update here; the minibatch loop
@@ -174,58 +229,58 @@ let forward_graph (t_params : params) (gc_weights : Matrix.t list)
 let graph_backward (p : params) (gc_weights : Matrix.t list)
     (st : forward_state) (dflat : float array) : Matrix.t list =
   let tc = total_channels p in
-  (* scatter the gradient back through sort pooling *)
-  let nn = st.concat.Matrix.rows in
-  let dconcat = Matrix.create nn tc in
-  for r = 0 to min p.sortpool_k nn - 1 do
-    let node = st.order.(r) in
-    for c = 0 to tc - 1 do
-      Matrix.set dconcat node c (dflat.((r * tc) + c))
-    done
-  done;
-  (* un-concatenate into per-layer gradients, then backprop through the
-     graph convolutions in reverse *)
-  let layer_grads =
-    let off = ref 0 in
-    List.map
-      (fun (z : Matrix.t) ->
-        let dz = Matrix.create nn z.Matrix.cols in
-        for i' = 0 to nn - 1 do
-          for c = 0 to z.Matrix.cols - 1 do
-            Matrix.set dz i' c (Matrix.get dconcat i' (!off + c))
-          done
+  let n = Array.length st.order in
+  let top = min p.sortpool_k n in
+  (* scatter the gradient back through sort pooling, split per layer *)
+  let _, layer_grads =
+    List.fold_left_map
+      (fun off (z : Matrix.t) ->
+        let c = z.Matrix.cols in
+        let dz = Matrix.create n c in
+        for r = 0 to top - 1 do
+          Array.blit dflat ((r * tc) + off) dz.Matrix.data (st.order.(r) * c) c
         done;
-        off := !off + z.Matrix.cols;
-        dz)
-      st.z_list
+        (off + c, dz))
+      0 st.z_list
   in
   (* process layers from last to first, accumulating the gradient that
      flows down from upper layers *)
-  let rev_w = List.rev gc_weights in
-  let rev_z = List.rev st.z_list in
-  let rev_px = List.rev st.px_list in
-  let rev_dz = List.rev layer_grads in
   let rec back ws zs pxs dzs (carry : Matrix.t option) (dws : Matrix.t list) =
     match (ws, zs, pxs, dzs) with
     | [], [], [], [] -> dws
-    | w :: ws', z :: zs', px :: pxs', dz :: dzs' ->
-        let dz_total =
-          match carry with Some c -> Matrix.add dz c | None -> dz
-        in
-        (* through tanh *)
-        let dpre =
-          Matrix.init nn z.Matrix.cols (fun i' c ->
-              let zv = Matrix.get z i' c in
-              Matrix.get dz_total i' c *. (1.0 -. (zv *. zv)))
-        in
+    | w :: ws', (z : Matrix.t) :: zs', px :: pxs', (dz : Matrix.t) :: dzs' ->
+        (* through tanh, in place: dpre = (dZ + carry) ⊙ (1 - Z²) *)
+        let dpre = dz in
+        let dd = dpre.Matrix.data and zd = z.Matrix.data in
+        (match carry with
+        | None ->
+            for i = 0 to Array.length dd - 1 do
+              let zv = zd.(i) in
+              dd.(i) <- dd.(i) *. (1.0 -. (zv *. zv))
+            done
+        | Some (c : Matrix.t) ->
+            let cd = c.Matrix.data in
+            for i = 0 to Array.length dd - 1 do
+              let zv = zd.(i) in
+              dd.(i) <- (dd.(i) +. cd.(i)) *. (1.0 -. (zv *. zv))
+            done);
         (* dW = (P Z_(l-1))^T dpre *)
         let dw = Matrix.matmul (Matrix.transpose px) dpre in
-        (* gradient to previous layer: P^T (dpre W^T) *)
-        let dprev = propagate_t st.adj (Matrix.matmul dpre (Matrix.transpose w)) in
-        back ws' zs' pxs' dzs' (Some dprev) (dw :: dws)
+        (* gradient to previous layer: P^T (dpre W^T); the first layer's
+           input is the fixed node features, so nothing reads it there *)
+        let carry =
+          match ws' with
+          | [] -> None
+          | _ ->
+              Some
+                (propagate_t st.graph
+                   (Matrix.matmul dpre (Matrix.transpose w)))
+        in
+        back ws' zs' pxs' dzs' carry (dw :: dws)
     | _ -> assert false
   in
-  back rev_w rev_z rev_px rev_dz None []
+  back (List.rev gc_weights) (List.rev st.z_list) (List.rev st.px_list)
+    (List.rev layer_grads) None []
 
 let init_gc_weights (rng : Rng.t) (p : params) ~(feat_dim : int) :
     Matrix.t list =
@@ -271,18 +326,20 @@ let of_parts ~(params : params) ~(gc_weights : Matrix.t list) ~(head : Nn.t)
     ~(feat_dim : int) ~(n_classes : int) : t =
   { params; gc_weights; head; feat_dim; n_classes }
 
+let parts (t : t) = (t.params, t.gc_weights, t.head)
+
 let dump_weights (t : t) : float array array =
   Array.append
     (Array.of_list
        (List.map (fun (w : Matrix.t) -> Array.copy w.Matrix.data) t.gc_weights))
     (Nn.dump_weights t.head)
 
-let train_source ?(params = default_params) (rng : Rng.t)
-    ~(n_classes : int) (src : Gsource.t) (ys : int array) : t =
-  let feat_dim = src.Gsource.feat_dim in
+(* The epoch loop both trainers share: graph [i] is read through [get i],
+   only ever for an index of the current minibatch. *)
+let train_loop (params : params) (rng : Rng.t) ~(n_classes : int)
+    ~(feat_dim : int) ~(n : int) (get : int -> prepared) (ys : int array) : t =
   let gc_weights = init_gc_weights rng params ~feat_dim in
   let head = build_head rng params ~n_classes in
-  let n = src.Gsource.n in
   let order = Array.init n Fun.id in
   let flat_w = params.sortpool_k * total_channels params in
   for epoch = 0 to params.epochs - 1 do
@@ -311,7 +368,7 @@ let train_source ?(params = default_params) (rng : Rng.t)
           let slo, shi = shard_rows s in
           for i = slo to shi - 1 do
             states.(i) <-
-              Some (forward_graph params gc_weights (src.Gsource.get order.(lo + i)))
+              Some (forward_graph params gc_weights (get order.(lo + i)))
           done);
       let flats = Fmat.create m flat_w in
       Fmat.of_rows_into flats
@@ -349,14 +406,24 @@ let train_source ?(params = default_params) (rng : Rng.t)
   done;
   { params; gc_weights; head; feat_dim; n_classes }
 
-let train ?params (rng : Rng.t) ~(n_classes : int) ~(feat_dim : int)
-    (graphs : Graph.t array) (ys : int array) : t =
-  train_source ?params rng ~n_classes
-    (Gsource.of_fn ~n:(Array.length graphs) ~feat_dim (fun i -> graphs.(i)))
+(* Streamed: each visit re-reads and re-prepares its graph, so no more
+   than one minibatch of graphs is ever held. *)
+let train_source ?(params = default_params) (rng : Rng.t)
+    ~(n_classes : int) (src : Gsource.t) (ys : int array) : t =
+  train_loop params rng ~n_classes ~feat_dim:src.Gsource.feat_dim
+    ~n:src.Gsource.n
+    (fun i -> prepare params (src.Gsource.get i))
     ys
 
+(* In memory: every graph is prepared once, before the first epoch. *)
+let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
+    ~(feat_dim : int) (graphs : Graph.t array) (ys : int array) : t =
+  let prepared = Pool.parallel_array_map (prepare params) graphs in
+  train_loop params rng ~n_classes ~feat_dim ~n:(Array.length graphs)
+    (Array.get prepared) ys
+
 let predict (t : t) (g : Graph.t) : int =
-  let st = forward_graph t.params t.gc_weights g in
+  let st = forward_graph t.params t.gc_weights (prepare t.params g) in
   Nn.predict t.head st.flat
 
 let size_bytes (t : t) : int =

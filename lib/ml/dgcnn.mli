@@ -2,11 +2,12 @@
     model of the paper (§3.2): graph convolutions + sort pooling feeding a
     1-D convolutional head.
 
-    Trained by minibatch SGD (DESIGN.md §15): parallel per-graph forward
-    shards, one batched {!Nn.train_batch} step of the head per minibatch,
-    and sharded graph-convolution gradients merged in a fixed tree order —
-    bit-identical at any [--jobs] and to the frozen naive trainer in
-    [Reference.Dgcnn]. *)
+    Trained by minibatch SGD (DESIGN.md §15) on graphs prepared for
+    convolution (capped, CSR-indexed, features squashed): parallel
+    per-graph forward shards, one batched {!Nn.train_batch} step of the
+    head per minibatch, and sharded graph-convolution gradients merged in
+    a fixed tree order — bit-identical at any [--jobs] and to the frozen
+    naive trainer in [Reference.Dgcnn]. *)
 
 type params = {
   gc_channels : int list;  (** graph-conv widths; last must be 1 *)
@@ -21,8 +22,11 @@ val default_params : params
 
 type t
 
-(** In-memory training: delegates to {!train_source} over
-    {!Gsource.of_fn}, so the two are bit-identical by construction. *)
+(** In-memory training.  Every graph is prepared once, in parallel, before
+    the first epoch: capped to [max_nodes], its neighbourhoods indexed as
+    CSR arrays, its node features squashed and propagated.  The epoch loop
+    is the one {!train_source} runs, reading the prepared graphs instead,
+    so the two are bit-identical by construction. *)
 val train :
   ?params:params ->
   Yali_util.Rng.t ->
@@ -32,8 +36,10 @@ val train :
   int array ->
   t
 
-(** Minibatch training over a streamed graph source; only one minibatch of
-    graphs is held at a time, so corpora never need materialising. *)
+(** Minibatch training over a streamed graph source.  Each visit of a
+    minibatch gets and prepares its graphs afresh, and nothing is cached
+    across epochs: only one minibatch of graphs is held at a time, so
+    corpora never need materialising. *)
 val train_source :
   ?params:params ->
   Yali_util.Rng.t ->
@@ -63,5 +69,9 @@ val of_parts :
   feat_dim:int ->
   n_classes:int ->
   t
+
+(** The parameters, graph-convolution weights and head {!of_parts}
+    assembled (shared, not copied). *)
+val parts : t -> params * Matrix.t list * Nn.t
 
 val dump_weights : t -> float array array

@@ -939,4 +939,8 @@ module Dgcnn = struct
       done
     done;
     Dgcnn.of_parts ~params ~gc_weights ~head ~feat_dim ~n_classes
+
+  let predict (t : Dgcnn.t) (g : Graph.t) : int =
+    let params, gc_weights, head = Dgcnn.parts t in
+    Nn.predict head (forward_graph params gc_weights g).flat
 end

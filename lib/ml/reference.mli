@@ -112,4 +112,8 @@ module Dgcnn : sig
     Yali_embeddings.Graph.t array ->
     int array ->
     Dgcnn.t
+
+  (** Naive counterpart of [Dgcnn.predict]: the frozen per-graph forward
+      pass (cap, list adjacency, propagation) under the model's weights. *)
+  val predict : Dgcnn.t -> Yali_embeddings.Graph.t -> int
 end

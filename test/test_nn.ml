@@ -7,7 +7,6 @@
 module Ml = Yali.Ml
 module Rng = Yali.Rng
 module Pool = Yali.Exec.Pool
-module Graph = Yali.Embeddings.Graph
 module F = Ml.Fmat
 
 let weights = Alcotest.testable (Fmt.Dump.array (Fmt.Dump.array Fmt.float)) ( = )
@@ -25,21 +24,17 @@ let blobs (rng : Rng.t) ~(n_classes : int) ~(n : int) ~(d : int) :
   done;
   (x, ys)
 
-let chain_graph ~(n : int) ~(flavor : int) : Graph.t =
-  let feats =
-    Array.init n (fun k ->
-        Array.init 4 (fun j -> if (k + j + flavor) mod 2 = 0 then 1.0 else 0.0))
-  in
-  let edges = List.init (n - 1) (fun k -> (k, k + 1, Graph.Control)) in
-  { Graph.node_feats = feats; edges; feat_dim = 4 }
+(* dgcnn fixtures: empty graphs, graphs over the cap, self-loops,
+   duplicate and out-of-range edges (the shapes CSR preparation reorders),
+   trained under the oracles' small [max_nodes] *)
+let dgcnn_graphs () = Yali.Check.Oracles.dgcnn_graphs 3 ~n:40 ~feat_dim:4
 
-let chain_graphs (rng : Rng.t) ~(n : int) : Graph.t array * int array =
-  let graphs =
-    Array.init n (fun i ->
-        if i mod 2 = 0 then chain_graph ~n:(4 + Rng.int rng 3) ~flavor:0
-        else chain_graph ~n:(9 + Rng.int rng 3) ~flavor:1)
-  in
-  (graphs, Array.init n (fun i -> i mod 2))
+let dgcnn_params =
+  {
+    Ml.Dgcnn.default_params with
+    epochs = 2;
+    max_nodes = Yali.Check.Oracles.dgcnn_max_nodes;
+  }
 
 (* -- Fmat batch-assembly helpers ------------------------------------------- *)
 
@@ -101,17 +96,20 @@ let test_cnn_kernel_vs_reference_dense () = cnn_differential ~d:8 ()
 let test_cnn_kernel_vs_reference_conv () = cnn_differential ~d:24 ()
 
 let dgcnn_differential () =
-  let graphs, ys = chain_graphs (Rng.make 3) ~n:40 in
-  let params = { Ml.Dgcnn.default_params with epochs = 2 } in
+  let graphs, ys = dgcnn_graphs () in
   let kernel =
-    Ml.Dgcnn.train ~params (Rng.make 17) ~n_classes:2 ~feat_dim:4 graphs ys
-  in
-  let naive =
-    Ml.Reference.Dgcnn.train ~params (Rng.make 17) ~n_classes:2 ~feat_dim:4
+    Ml.Dgcnn.train ~params:dgcnn_params (Rng.make 17) ~n_classes:2 ~feat_dim:4
       graphs ys
   in
+  let naive =
+    Ml.Reference.Dgcnn.train ~params:dgcnn_params (Rng.make 17) ~n_classes:2
+      ~feat_dim:4 graphs ys
+  in
   Alcotest.check weights "dgcnn weights identical"
-    (Ml.Dgcnn.dump_weights naive) (Ml.Dgcnn.dump_weights kernel)
+    (Ml.Dgcnn.dump_weights naive) (Ml.Dgcnn.dump_weights kernel);
+  Alcotest.(check (array int)) "predictions identical (capped graphs too)"
+    (Array.map (Ml.Reference.Dgcnn.predict naive) graphs)
+    (Array.map (Ml.Dgcnn.predict kernel) graphs)
 
 (* -- jobs invariance -------------------------------------------------------- *)
 
@@ -125,13 +123,12 @@ let test_cnn_jobs_invariant () =
   Alcotest.check weights "cnn --jobs 1 = --jobs 4" (train 1) (train 4)
 
 let test_dgcnn_jobs_invariant () =
-  let params = { Ml.Dgcnn.default_params with epochs = 2 } in
   let train jobs =
     Pool.with_jobs jobs (fun () ->
-        let graphs, ys = chain_graphs (Rng.make 3) ~n:40 in
+        let graphs, ys = dgcnn_graphs () in
         Ml.Dgcnn.dump_weights
-          (Ml.Dgcnn.train ~params (Rng.make 17) ~n_classes:2 ~feat_dim:4
-             graphs ys))
+          (Ml.Dgcnn.train ~params:dgcnn_params (Rng.make 17) ~n_classes:2
+             ~feat_dim:4 graphs ys))
   in
   Alcotest.check weights "dgcnn --jobs 1 = --jobs 4" (train 1) (train 4)
 
@@ -150,17 +147,55 @@ let test_cnn_stream_one_block () =
     (Ml.Cnn.dump_weights inmem) (Ml.Cnn.dump_weights streamed)
 
 let test_dgcnn_stream_vs_inmem () =
-  let params = { Ml.Dgcnn.default_params with epochs = 2 } in
-  let graphs, ys = chain_graphs (Rng.make 3) ~n:40 in
+  let graphs, ys = dgcnn_graphs () in
   let inmem =
-    Ml.Dgcnn.train ~params (Rng.make 17) ~n_classes:2 ~feat_dim:4 graphs ys
+    Ml.Dgcnn.train ~params:dgcnn_params (Rng.make 17) ~n_classes:2 ~feat_dim:4
+      graphs ys
   in
   let streamed =
-    Ml.Model.train_dgcnn_stream ~params (Rng.make 17) ~n_classes:2
-      (Ml.Gsource.of_graphs graphs) ys
+    Ml.Model.train_dgcnn_stream ~params:dgcnn_params (Rng.make 17)
+      ~n_classes:2 (Ml.Gsource.of_graphs graphs) ys
   in
   Alcotest.check weights "gsource = in-memory"
     (Ml.Dgcnn.dump_weights inmem) (Ml.Dgcnn.dump_weights streamed)
+
+(* The streaming memory contract: [train_source] gets a graph only while
+   its minibatch is being trained, and again on every epoch, never from a
+   cache.  Gets are recorded in call order (under a lock: forward shards
+   run on several domains); a minibatch's gets all finish before the next
+   minibatch's start, so cutting each epoch's calls into [batch]-sized runs
+   recovers the minibatches. *)
+let test_dgcnn_stream_gets_per_minibatch () =
+  let graphs, ys = dgcnn_graphs () in
+  let n = Array.length graphs in
+  let params = { dgcnn_params with epochs = 3; batch = 12 } in
+  let lock = Mutex.create () and calls = ref [] in
+  let get i =
+    Mutex.protect lock (fun () -> calls := i :: !calls);
+    graphs.(i)
+  in
+  Pool.with_jobs 2 (fun () ->
+      ignore
+        (Ml.Dgcnn.train_source ~params (Rng.make 17) ~n_classes:2
+           (Ml.Gsource.of_fn ~n ~feat_dim:4 get)
+           ys));
+  let calls = Array.of_list (List.rev !calls) in
+  Alcotest.(check int) "one get per graph per epoch" (params.epochs * n)
+    (Array.length calls);
+  for e = 0 to params.epochs - 1 do
+    let seen = Array.make n false in
+    for b = 0 to ((n + params.batch - 1) / params.batch) - 1 do
+      let lo = b * params.batch in
+      let batch = Array.sub calls ((e * n) + lo) (min params.batch (n - lo)) in
+      Array.iter
+        (fun i ->
+          if seen.(i) then
+            Alcotest.failf "epoch %d: graph %d fetched twice (minibatch %d)"
+              e i b;
+          seen.(i) <- true)
+        batch
+    done
+  done
 
 (* -- transpose cache --------------------------------------------------------- *)
 
@@ -234,6 +269,8 @@ let suite =
       test_cnn_stream_one_block;
     Alcotest.test_case "dgcnn gsource = in-memory" `Slow
       test_dgcnn_stream_vs_inmem;
+    Alcotest.test_case "dgcnn gsource gets only the current minibatch" `Quick
+      test_dgcnn_stream_gets_per_minibatch;
     Alcotest.test_case "transpose cache invalidation" `Quick
       test_transpose_cache_invalidation;
     Alcotest.test_case "cnn snapshot round-trip" `Quick
