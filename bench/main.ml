@@ -651,7 +651,7 @@ let kernels () =
           Some
             (Ml.Random_forest.train
                ~params:{ Ml.Random_forest.n_trees; max_depth = 24 }
-               (Rng.make 42) ~n_classes fm_tr ys_tr))
+               (Rng.make 42) ~n_classes (Ml.Fblock.Mem fm_tr) ys_tr))
   in
   let ref_pred =
     Array.map (Ml.Reference.Random_forest.predict (Option.get !ref_forest)) xs_te
@@ -1119,17 +1119,18 @@ let corpus_bench () =
             let fr = Ml.Fblock.open_reader feat in
             let t0 = clock () in
             let snap_stream =
-              Option.get
-                (Ml.Model.train_snapshot_stream ~block_rows:4096 kind
-                   (Rng.make 7) ~n_classes (Ml.Fblock.Disk fr) ys)
+              Result.get_ok
+                (Ml.Model.train_snapshot ~block_rows:4096 kind (Rng.make 7)
+                   ~n_classes (Ml.Fblock.Disk fr) ys)
             in
             let t_stream = clock () -. t0 in
             let x = Ml.Fblock.materialize (Ml.Fblock.Disk fr) in
             Ml.Fblock.close_reader fr;
             let t0 = clock () in
             let snap_mem =
-              Option.get
-                (Ml.Model.train_snapshot kind (Rng.make 7) ~n_classes x ys)
+              Result.get_ok
+                (Ml.Model.train_snapshot kind (Rng.make 7) ~n_classes
+                   (Ml.Fblock.Mem x) ys)
             in
             let t_mem = clock () -. t0 in
             let a_s = accuracy snap_stream and a_m = accuracy snap_mem in
@@ -1450,7 +1451,7 @@ let dgcnn_row ~label ~(params : Ml.Dgcnn.params) ~n_classes
     List.for_all2
       (fun (graphs, ys) k ->
         let streamed =
-          Ml.Model.train_dgcnn_stream ~params (Rng.make 31) ~n_classes
+          Ml.Dgcnn.train_source ~params (Rng.make 31) ~n_classes
             (Ml.Gsource.of_graphs graphs) ys
         in
         dump_eq (dump k) (dump streamed))
@@ -1558,7 +1559,10 @@ let nn_bench () =
         ref_cnn :=
           Some (Ml.Reference.Cnn.train ~params (Rng.make 11) ~n_classes x ys))
       (fun () ->
-        ker_cnn := Some (Ml.Cnn.train ~params (Rng.make 11) ~n_classes x ys))
+        ker_cnn :=
+          Some
+            (Ml.Cnn.train ~params (Rng.make 11) ~n_classes (Ml.Fblock.Mem x)
+               ys))
   in
   let ref_cnn = Option.get !ref_cnn and ker_cnn = Option.get !ker_cnn in
   let weights_ok =
@@ -1566,12 +1570,21 @@ let nn_bench () =
   in
   let cnn_at jobs =
     Yali.Exec.Pool.with_jobs jobs (fun () ->
-        Ml.Cnn.dump_weights (Ml.Cnn.train ~params (Rng.make 11) ~n_classes x ys))
+        Ml.Cnn.dump_weights
+          (Ml.Cnn.train ~params (Rng.make 11) ~n_classes (Ml.Fblock.Mem x) ys))
   in
   let jobs_ok = dump_eq (cnn_at 1) (cnn_at 4) in
+  (* the same rows read back as one block of an on-disk feature file *)
   let streamed_cnn =
-    Ml.Cnn.train_stream ~params (Rng.make 11) ~n_classes (Ml.Fblock.of_fmat x)
-      ys
+    let path = Filename.temp_file "yali_nn" ".yfmb" in
+    Ml.Fblock.to_file path x;
+    let fr = Ml.Fblock.open_reader path in
+    Fun.protect
+      ~finally:(fun () ->
+        Ml.Fblock.close_reader fr;
+        Sys.remove path)
+      (fun () ->
+        Ml.Cnn.train ~params (Rng.make 11) ~n_classes (Ml.Fblock.Disk fr) ys)
   in
   let stream_ok =
     dump_eq (Ml.Cnn.dump_weights ker_cnn) (Ml.Cnn.dump_weights streamed_cnn)
@@ -1784,8 +1797,8 @@ let abl_rf_trees () =
       let t0 = Yali.Exec.Telemetry.clock () in
       let params = { Ml.Random_forest.n_trees; max_depth = 24 } in
       let trained =
-        Ml.Random_forest.train ~params (Rng.make 3) ~n_classes p.xs_train
-          p.ys_train
+        Ml.Random_forest.train ~params (Rng.make 3) ~n_classes
+          (Ml.Fblock.Mem p.xs_train) p.ys_train
       in
       let pred = Ml.Random_forest.predict_batch trained p.xs_test in
       Printf.printf "%-8d %10.4f %10.2f\n%!" n_trees

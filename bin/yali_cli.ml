@@ -398,7 +398,7 @@ let fuzz_cmd =
   let corpus_arg =
     Arg.(
       value
-      & opt string Yali.Fuzz.Corpus.default_dir
+      & opt string Yali.Check.Corpus.default_dir
       & info [ "corpus" ] ~docv:"DIR"
           ~doc:
             "Corpus directory, replayed before fresh generation (skipped \
@@ -438,21 +438,21 @@ let fuzz_cmd =
     | Some ix ->
         let root = Yali.Rng.make seed in
         let pri = Yali.Rng.split_ix (Yali.Rng.split_ix root 1) ix in
-        let p = Yali.Fuzz.Gen.program (Yali.Rng.split_ix pri 0) in
+        let p = Yali.Check.Gen.program (Yali.Rng.split_ix pri 0) in
         print_string (Yali.Minic.Pp.program_to_string p);
         exit 0
     | None -> ());
     let variants =
       match variants with
-      | None -> Yali.Fuzz.Pipelines.all
+      | None -> Yali.Check.Pipelines.all
       | Some names ->
           List.map
             (fun n ->
-              match Yali.Fuzz.Pipelines.find n with
+              match Yali.Check.Pipelines.find n with
               | Some v -> v
               | None ->
                   die ~code:2 "unknown variant %s (have: %s)" n
-                    (String.concat " " (Yali.Fuzz.Pipelines.names ())))
+                    (String.concat " " (Yali.Check.Pipelines.names ())))
             names
     in
     let count =
@@ -630,6 +630,10 @@ let train_cmd =
   let run seed jobs registry model embedding classes per_class version corpus
       block_rows =
     configure_jobs jobs;
+    if classes < 1 then die ~code:2 "--classes must be positive";
+    if per_class < 1 then die ~code:2 "--per-class must be positive";
+    if Option.fold ~none:false ~some:(fun b -> b < 1) block_rows then
+      die ~code:2 "--block-rows must be positive";
     let e =
       match Yali.Embeddings.Embedding.find embedding with
       | Some e -> e

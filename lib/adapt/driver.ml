@@ -84,10 +84,10 @@ let prepare ?(log = ignore) (cfg : config) : prepared =
         match
           Model.train_snapshot kind
             (Rng.split_ix train_rng ix)
-            ~n_classes:cfg.a_classes x ys
+            ~n_classes:cfg.a_classes (Yali_ml.Fblock.Mem x) ys
         with
-        | Some s -> (kind, s)
-        | None -> failwith ("adapt: no snapshot form for model " ^ kind))
+        | Ok s -> (kind, s)
+        | Error m -> failwith ("adapt: " ^ m))
       cfg.a_models
   in
   let challenges =

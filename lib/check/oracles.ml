@@ -48,7 +48,10 @@ let tree_vs_reference (n_classes, xs, ys, txs, seed) =
 let forest_vs_reference (n_classes, xs, ys, txs, seed) =
   let params = { Ml.Random_forest.n_trees = 5; max_depth = 6 } in
   let ref_params = { Ml.Reference.Random_forest.n_trees = 5; max_depth = 6 } in
-  let f_new = Ml.Random_forest.train ~params (Rng.make seed) ~n_classes (F.of_rows xs) ys in
+  let f_new =
+    Ml.Random_forest.train ~params (Rng.make seed) ~n_classes
+      (Ml.Fblock.Mem (F.of_rows xs)) ys
+  in
   let f_ref =
     Ml.Reference.Random_forest.train ~params:ref_params (Rng.make seed) ~n_classes xs ys
   in
@@ -528,9 +531,10 @@ let corpus_store_roundtrip (spec, rps, _) =
                  l = l_ref && l = Corpus_store.label r i && m = m_ref)
                (Array.init (Array.length reference) Fun.id)))
 
-(* Out-of-core training against the in-memory trainers: on a source that
-   fits one block, every snapshot-able model must produce a byte-identical
-   Model.save blob (the DESIGN.md §12 equivalence contract). *)
+(* Training on the on-disk feature file against training on the in-memory
+   matrix: as one block each, every snapshot-able model must produce a
+   byte-identical Model.save blob (the DESIGN.md §12 equivalence contract),
+   so the file path reads back exactly the bits the trainers see in memory. *)
 let corpus_stream_train_bit_identical (spec, rps, train_seed) =
   with_tmp_dir (fun dir ->
       Corpus_gen.generate ~dir ~records_per_shard:rps spec;
@@ -556,22 +560,24 @@ let corpus_stream_train_bit_identical (spec, rps, train_seed) =
                    (fun kind ->
                      let inmem =
                        Ml.Model.train_snapshot kind (Rng.make train_seed)
-                         ~n_classes:spec.Corpus_gen.n_classes x ys
+                         ~n_classes:spec.Corpus_gen.n_classes
+                         (Ml.Fblock.Mem x) ys
                      in
                      let streamed =
-                       Ml.Model.train_snapshot_stream
+                       Ml.Model.train_snapshot
                          ~block_rows:(max 1 x.F.n) kind
                          (Rng.make train_seed)
                          ~n_classes:spec.Corpus_gen.n_classes src ys
                      in
                      match (inmem, streamed) with
-                     | Some a, Some b -> Ml.Model.save a = Ml.Model.save b
+                     | Ok a, Ok b -> Ml.Model.save a = Ml.Model.save b
                      | _ -> false)
                    Ml.Model.snapshot_kinds)))
 
-(* Feature standardisation is blocking-invariant: fit_stream must equal
-   fit_fmat bit for bit at ANY block size (sum order is preserved), and the
-   on-disk feature file must round-trip doubles exactly. *)
+(* Feature standardisation is blocking-invariant: fit_stream must equal the
+   frozen row-array fit bit for bit at ANY block size (sum order is
+   preserved), and the on-disk feature file must round-trip doubles
+   exactly. *)
 let fblock_fit_stream_blocking (n_classes, xs, _, _, seed) =
   ignore n_classes;
   let x = F.of_rows xs in
@@ -584,8 +590,8 @@ let fblock_fit_stream_blocking (n_classes, xs, _, _, seed) =
         ~finally:(fun () -> Ml.Fblock.close_reader fr)
         (fun () ->
           let disk = Ml.Fblock.Disk fr in
-          let s_ref = Ml.Features.fit_fmat x in
-          let s_mem = Ml.Features.fit_stream ~block_rows (Ml.Fblock.of_fmat x) in
+          let s_ref = Ml.Features.fit xs in
+          let s_mem = Ml.Features.fit_stream ~block_rows (Ml.Fblock.Mem x) in
           let s_disk = Ml.Features.fit_stream ~block_rows disk in
           let under s =
             let c = F.create x.F.n x.F.d in
@@ -801,25 +807,32 @@ let nn_jobs_invariant (d, n_classes, batch, seed) =
         in
         let params = { Ml.Cnn.default_params with epochs = 1; batch } in
         Ml.Cnn.dump_weights
-          (Ml.Cnn.train ~params (Rng.make seed) ~n_classes x ys))
+          (Ml.Cnn.train ~params (Rng.make seed) ~n_classes (Ml.Fblock.Mem x)
+             ys))
   in
   train 1 = train 4
 
 (* Streamed training vs in-memory on one block: identical cnn Model.save
-   blobs, identical dgcnn weight dumps over a Gsource. *)
+   blobs from the matrix and from its one-block feature file, identical
+   dgcnn weight dumps over a Gsource. *)
 let nn_stream_vs_inmem (n, feat_dim, seed) =
   let d = 8 + feat_dim and n_classes = 2 in
   let rows = 4 * n in
   let cnn_ok =
     let x, ys = nn_blobs (seed + 1) ~n:rows ~d ~n_classes in
-    let inmem = Ml.Model.train_snapshot "cnn" (Rng.make seed) ~n_classes x ys in
-    let streamed =
-      Ml.Model.train_snapshot_stream ~block_rows:rows "cnn" (Rng.make seed)
-        ~n_classes (Ml.Fblock.of_fmat x) ys
+    let train src =
+      Ml.Model.train_snapshot "cnn" (Rng.make seed) ~n_classes src ys
     in
-    match (inmem, streamed) with
-    | Some a, Some b -> Ml.Model.save a = Ml.Model.save b
-    | _ -> false
+    with_tmp_dir (fun dir ->
+        let path = Filename.concat dir "x.yfmb" in
+        Ml.Fblock.to_file path x;
+        let fr = Ml.Fblock.open_reader path in
+        Fun.protect
+          ~finally:(fun () -> Ml.Fblock.close_reader fr)
+          (fun () ->
+            match (train (Ml.Fblock.Mem x), train (Ml.Fblock.Disk fr)) with
+            | Ok a, Ok b -> Ml.Model.save a = Ml.Model.save b
+            | _ -> false))
   in
   let dgcnn_ok =
     let graphs, ys = dgcnn_graphs seed ~n ~feat_dim in
@@ -828,7 +841,7 @@ let nn_stream_vs_inmem (n, feat_dim, seed) =
         ~feat_dim graphs ys
     in
     let streamed =
-      Ml.Model.train_dgcnn_stream ~params:nn_params_small (Rng.make seed)
+      Ml.Dgcnn.train_source ~params:nn_params_small (Rng.make seed)
         ~n_classes:2
         (Ml.Gsource.of_graphs graphs)
         ys

@@ -17,7 +17,7 @@ val to_fmat :
 
 (** Graph-embedding twin of the streamed path: a {!Yali_ml.Gsource.t} that
     decodes and embeds record [i] on demand — the DGCNN's minibatch trainer
-    ({!Yali_ml.Model.train_dgcnn_stream}) holds one minibatch of graphs at a
+    ({!Yali_ml.Dgcnn.train_source}) holds one minibatch of graphs at a
     time, never the whole corpus.  Labels come from [Store.labels].  Uses
     the graph-embedding cache, so repeated epochs re-embed cheaply. *)
 val graph_source :

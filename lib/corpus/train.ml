@@ -47,11 +47,11 @@ let train ~(dir : string) ~(embedding : Embedding.t) ~(kind : string)
               let ys = Store.labels r in
               let rng = Rng.make seed in
               match
-                Model.train_snapshot_stream ?block_rows kind (Rng.split rng)
+                Model.train_snapshot ?block_rows kind (Rng.split rng)
                   ~n_classes:(Store.n_classes r) (Fblock.Disk fr) ys
               with
-              | None -> Error (Printf.sprintf "no snapshot-able model named %s" kind)
-              | Some snapshot ->
+              | Error _ as e -> e
+              | Ok snapshot ->
                   Ok
                     {
                       Registry.meta =

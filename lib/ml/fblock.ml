@@ -167,8 +167,17 @@ type source = Mem of Fmat.t | Disk of reader
 let rows = function Mem m -> m.Fmat.n | Disk r -> r.n
 let dim = function Mem m -> m.Fmat.d | Disk r -> r.d
 
-let iter_blocks ?(block_rows = default_block_rows) (src : source)
-    (f : int -> Fmat.t -> unit) : unit =
+(* A [Mem] source is one block unless told otherwise: in-memory training is
+   streamed training over that block, so the default must not split it. *)
+let block_size ?block_rows (src : source) : int =
+  match (block_rows, src) with
+  | Some b, _ -> b
+  | None, Mem m -> max 1 m.Fmat.n
+  | None, Disk _ -> default_block_rows
+
+let iter_blocks ?block_rows (src : source) (f : int -> Fmat.t -> unit) : unit
+    =
+  let block_rows = block_size ?block_rows src in
   if block_rows < 1 then invalid_arg "Fblock.iter_blocks: block_rows < 1";
   let n = rows src and d = dim src in
   let lo = ref 0 in
@@ -187,7 +196,8 @@ let iter_blocks ?(block_rows = default_block_rows) (src : source)
     lo := !lo + bn
   done
 
-let n_blocks ?(block_rows = default_block_rows) (src : source) : int =
+let n_blocks ?block_rows (src : source) : int =
+  let block_rows = block_size ?block_rows src in
   if block_rows < 1 then invalid_arg "Fblock.n_blocks: block_rows < 1";
   (rows src + block_rows - 1) / block_rows
 
@@ -195,8 +205,6 @@ let materialize (src : source) : Fmat.t =
   match src with
   | Mem m -> m
   | Disk r -> if r.n = 0 then Fmat.create 0 r.d else read_block r ~lo:0 ~rows:r.n
-
-let of_fmat (m : Fmat.t) : source = Mem m
 
 let to_file (path : string) (m : Fmat.t) : unit =
   let w = Writer.create path ~n:m.Fmat.n ~d:m.Fmat.d in

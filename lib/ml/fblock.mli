@@ -7,18 +7,20 @@
     round trip is bit-identical.  {!open_reader} validates magic, version
     and exact byte length; any mismatch raises {!Yali_util.Bin.Corrupt}.
 
-    A {!source} abstracts over in-memory and on-disk matrices so the
-    minibatch trainers ([Logreg.train_stream] & co.) are written once.
-    {!iter_blocks} visits rows in order as sequential blocks; every block
-    handed to the callback is freshly allocated (a file read or a copy of
-    the in-memory slice), so callees may standardise it in place. *)
+    A {!source} abstracts over in-memory and on-disk matrices, and every
+    flat trainer ([Logreg.train] & co.) consumes one: in-memory training
+    is streamed training over a [Mem] source, which is one block unless a
+    [block_rows] is passed.  {!iter_blocks} visits rows in order as
+    sequential blocks; every block handed to the callback is freshly
+    allocated (a file read or a copy of the in-memory slice), so callees
+    may standardise it in place. *)
 
 val magic : string
 val version : int
 
-(** Rows per block everywhere a [?block_rows] default is needed.  Small
-    corpora fit one block, which makes the streamed trainers bit-identical
-    to the in-memory ones (the equivalence argument of DESIGN.md §12). *)
+(** Rows per block of a [Disk] source when no [?block_rows] is given.  A
+    [Mem] source has no such default: it is one block of all its rows (see
+    {!block_size}), so training on an in-memory matrix never splits it. *)
 val default_block_rows : int
 
 module Writer : sig
@@ -64,23 +66,27 @@ val open_reader : string -> reader
 
 val close_reader : reader -> unit
 
-(** A feature-matrix source the streamed trainers consume. *)
+(** A feature-matrix source, the input of every flat trainer. *)
 type source = Mem of Fmat.t | Disk of reader
 
 val rows : source -> int
 val dim : source -> int
 
+(** The block size {!iter_blocks} and {!n_blocks} use: [block_rows] when
+    given, else all the rows of a [Mem] source (at least 1) and
+    {!default_block_rows} for a [Disk] one. *)
+val block_size : ?block_rows:int -> source -> int
+
 (** [iter_blocks ~block_rows src f] calls [f row_offset block] for each
     consecutive block of at most [block_rows] rows, in row order.  Blocks
-    are fresh matrices the callee may mutate. *)
+    are fresh matrices the callee may mutate.
+    @raise Invalid_argument when [block_rows < 1] *)
 val iter_blocks : ?block_rows:int -> source -> (int -> Fmat.t -> unit) -> unit
 
 val n_blocks : ?block_rows:int -> source -> int
 
 (** The whole source as one in-memory matrix ([Mem] is returned as-is). *)
 val materialize : source -> Fmat.t
-
-val of_fmat : Fmat.t -> source
 
 (** Write a matrix into the on-disk format (bit-exact round trip). *)
 val to_file : string -> Fmat.t -> unit

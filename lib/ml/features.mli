@@ -13,19 +13,16 @@ val fit_transform : float array array -> scaler * float array array
     allocating. *)
 val transform_into : scaler -> float array -> float array -> unit
 
-(** Fit on a flat feature matrix.  Parameters are bit-identical to {!fit}
-    on the equivalent rows (same accumulation order). *)
-val fit_fmat : Fmat.t -> scaler
-
-(** Fit over streamed blocks.  Bit-identical to {!fit_fmat} on the
-    materialised source at any [block_rows] (same accumulation order). *)
+(** Fit over streamed blocks.  Bit-identical to {!fit} on the source's
+    rows at any [block_rows] (same accumulation order). *)
 val fit_stream : ?block_rows:int -> Fblock.source -> scaler
 
 (** Standardise a flat matrix in place. *)
 val transform_fmat_inplace : scaler -> Fmat.t -> unit
 
-(** Fit and return a standardised {e copy} (the input is left intact, so
-    one embedded matrix can be shared across models). *)
+(** Fit ({!fit_stream} over the matrix as one block) and return a
+    standardised {e copy} (the input is left intact, so one embedded matrix
+    can be shared across models). *)
 val fit_transform_fmat : Fmat.t -> scaler * Fmat.t
 
 (** Approximate heap footprint of a row matrix, in bytes (for the paper's

@@ -1,10 +1,11 @@
 (** Multinomial logistic regression (softmax), trained with mini-batch
     gradient descent and L2 regularisation — SciKit's [lr] counterpart.
 
-    Training walks flat offsets into the {!Fmat} training matrix; the float
-    expressions and their evaluation order are those of the classic
-    row-array implementation, so the fitted model is bit-identical to it
-    (test/test_fmat.ml checks this against {!Reference.Logreg}). *)
+    Training walks flat offsets into each standardised {!Fmat} block; the
+    float expressions and their evaluation order are those of the classic
+    row-array implementation, so on one block the fitted model is
+    bit-identical to it (test/test_fmat.ml checks this against
+    {!Reference.Logreg}). *)
 
 module Rng = Yali_util.Rng
 
@@ -53,83 +54,20 @@ let argmax (v : float array) : int =
   Array.iteri (fun i x -> if x > v.(!best) then best := i) v;
   !best
 
-let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
-    (x : Fmat.t) (ys : int array) : t =
-  let scaler, x = Features.fit_transform_fmat x in
-  let n = x.Fmat.n in
-  let d = x.Fmat.d in
-  let xd = x.Fmat.data in
-  let w = Matrix.random rng n_classes d ~scale:0.01 in
-  let bias = Array.make n_classes 0.0 in
-  let order = Array.init n Fun.id in
-  for epoch = 0 to params.epochs - 1 do
-    let lr = params.lr /. (1.0 +. (0.05 *. float_of_int epoch)) in
-    (* shuffle *)
-    for i = n - 1 downto 1 do
-      let j = Rng.int rng (i + 1) in
-      let tmp = order.(i) in
-      order.(i) <- order.(j);
-      order.(j) <- tmp
-    done;
-    let b = ref 0 in
-    while !b < n do
-      let hi = min n (!b + params.batch) in
-      let gw = Matrix.create n_classes d and gb = Array.make n_classes 0.0 in
-      let gd = gw.Matrix.data in
-      for k = !b to hi - 1 do
-        let i = order.(k) in
-        let xbase = i * d in
-        let p = softmax (logits_row w bias xd xbase d) in
-        for c = 0 to n_classes - 1 do
-          let err = p.(c) -. (if c = ys.(i) then 1.0 else 0.0) in
-          gb.(c) <- gb.(c) +. err;
-          let gbase = c * d in
-          for j = 0 to d - 1 do
-            Array.unsafe_set gd (gbase + j)
-              (Array.unsafe_get gd (gbase + j)
-              +. (err *. Array.unsafe_get xd (xbase + j)))
-          done
-        done
-      done;
-      let bs = float_of_int (hi - !b) in
-      let wd = w.Matrix.data in
-      for c = 0 to n_classes - 1 do
-        bias.(c) <- bias.(c) -. (lr *. gb.(c) /. bs);
-        let base = c * d in
-        for j = 0 to d - 1 do
-          let wij = Array.unsafe_get wd (base + j) in
-          Array.unsafe_set wd (base + j)
-            (wij
-            -. (lr
-               *. ((Array.unsafe_get gd (base + j) /. bs)
-                  +. (params.l2 *. wij))))
-        done
-      done;
-      b := hi
-    done
-  done;
-  { scaler; weights = w; bias; n_classes }
-
 (** Minibatch SGD over streamed blocks (DESIGN.md §12).  Each epoch walks
-    the blocks in order, shuffling {e within} each block with the same
-    persistent-order Fisher–Yates as {!train}; minibatches never cross a
-    block boundary.  When the whole corpus fits one block — the default
-    [block_rows] on a small corpus — every rng draw, shuffle, batch
-    boundary and float operation coincides with {!train}'s, so the fitted
-    model is bit-identical (the [corpus/stream-vs-inmem] oracle holds
-    {!Model.save} blobs equal). *)
-let train_stream ?(params = default_params) ?block_rows (rng : Rng.t)
+    the blocks in order and shuffles {e within} each block, with a
+    persistent-order Fisher–Yates per block; minibatches never cross a
+    block boundary.  An in-memory matrix is one [Mem] block, so its order
+    is one global permutation. *)
+let train ?(params = default_params) ?block_rows (rng : Rng.t)
     ~(n_classes : int) (src : Fblock.source) (ys : int array) : t =
   let scaler = Features.fit_stream ?block_rows src in
   let n = Fblock.rows src in
   let d = Fblock.dim src in
   let w = Matrix.random rng n_classes d ~scale:0.01 in
   let bias = Array.make n_classes 0.0 in
-  let bs_rows =
-    match block_rows with Some b -> b | None -> Fblock.default_block_rows
-  in
-  (* per-block sample orders persist across epochs, as [train]'s one global
-     order does *)
+  let bs_rows = Fblock.block_size ?block_rows src in
+  (* per-block sample orders persist across epochs *)
   let orders =
     Array.init (Fblock.n_blocks ?block_rows src) (fun b ->
         Array.init (min bs_rows (n - (b * bs_rows))) Fun.id)

@@ -10,45 +10,10 @@ type params = { hidden : int; epochs : int; lr : float }
 
 let default_params = { hidden = 100; epochs = 40; lr = 0.02 }
 
-let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
-    (x : Fmat.t) (ys : int array) : t =
-  let scaler, x = Features.fit_transform_fmat x in
-  let d = x.Fmat.d in
-  let net =
-    {
-      Nn.layers =
-        [
-          Nn.dense rng ~d_in:d ~d_out:params.hidden;
-          Nn.relu ();
-          Nn.dense rng ~d_in:params.hidden ~d_out:n_classes;
-        ];
-      n_classes;
-    }
-  in
-  let n = x.Fmat.n in
-  let order = Array.init n Fun.id in
-  (* one reused row buffer: [Nn.train_step] consumes the sample within the
-     step, so the buffer may be overwritten for the next one *)
-  let buf = Array.make d 0.0 in
-  for epoch = 0 to params.epochs - 1 do
-    let lr = params.lr /. (1.0 +. (0.03 *. float_of_int epoch)) in
-    for i = n - 1 downto 1 do
-      let j = Rng.int rng (i + 1) in
-      let tmp = order.(i) in
-      order.(i) <- order.(j);
-      order.(j) <- tmp
-    done;
-    Array.iter
-      (fun i ->
-        Fmat.row_into x i buf;
-        ignore (Nn.train_step ~lr ~rng net buf ys.(i)))
-      order
-  done;
-  { scaler; net }
-
 (** Per-sample SGD over streamed blocks; per-epoch shuffles stay within a
-    block (persistent per-block orders).  One block = exactly {!train}. *)
-let train_stream ?(params = default_params) ?block_rows (rng : Rng.t)
+    block (persistent per-block orders).  An in-memory matrix is one [Mem]
+    block, so its order is one global permutation. *)
+let train ?(params = default_params) ?block_rows (rng : Rng.t)
     ~(n_classes : int) (src : Fblock.source) (ys : int array) : t =
   let scaler = Features.fit_stream ?block_rows src in
   let d = Fblock.dim src in
@@ -64,13 +29,13 @@ let train_stream ?(params = default_params) ?block_rows (rng : Rng.t)
       n_classes;
     }
   in
-  let bs_rows =
-    match block_rows with Some b -> b | None -> Fblock.default_block_rows
-  in
+  let bs_rows = Fblock.block_size ?block_rows src in
   let orders =
     Array.init (Fblock.n_blocks ?block_rows src) (fun b ->
         Array.init (min bs_rows (n - (b * bs_rows))) Fun.id)
   in
+  (* one reused row buffer: [Nn.train_step] consumes the sample within the
+     step, so the buffer may be overwritten for the next one *)
   let buf = Array.make d 0.0 in
   for epoch = 0 to params.epochs - 1 do
     let lr = params.lr /. (1.0 +. (0.03 *. float_of_int epoch)) in

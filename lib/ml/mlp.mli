@@ -7,17 +7,10 @@ type params = { hidden : int; epochs : int; lr : float }
 
 val default_params : params
 
+(** Per-sample SGD over the blocks of a feature source; per-epoch shuffles
+    stay within a block.  An in-memory matrix is passed as [Fblock.Mem x],
+    one block unless [block_rows] is given. *)
 val train :
-  ?params:params ->
-  Yali_util.Rng.t ->
-  n_classes:int ->
-  Fmat.t ->
-  int array ->
-  t
-
-(** Per-sample SGD over streamed feature blocks; one block = bit-identical
-    to {!train}. *)
-val train_stream :
   ?params:params ->
   ?block_rows:int ->
   Yali_util.Rng.t ->

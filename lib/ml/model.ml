@@ -32,101 +32,6 @@ type graph = {
     gtrained;
 }
 
-let rf =
-  {
-    fname = "rf";
-    ftrain =
-      (fun rng ~n_classes x ys ->
-        let m = Random_forest.train rng ~n_classes x ys in
-        {
-          predict = Random_forest.predict m;
-          predict_batch = Random_forest.predict_batch m;
-          size_bytes = Random_forest.size_bytes m + Features.bytes_of_fmat x;
-        });
-  }
-
-let svm =
-  {
-    fname = "svm";
-    ftrain =
-      (fun rng ~n_classes x ys ->
-        let m = Svm.train rng ~n_classes x ys in
-        {
-          predict = Svm.predict m;
-          predict_batch = Svm.predict_batch m;
-          size_bytes = Svm.size_bytes m;
-        });
-  }
-
-let knn =
-  {
-    fname = "knn";
-    ftrain =
-      (fun _rng ~n_classes x ys ->
-        let m = Knn.train ~n_classes x ys in
-        {
-          predict = Knn.predict m;
-          predict_batch = Knn.predict_batch m;
-          size_bytes = Knn.size_bytes m;
-        });
-  }
-
-let lr =
-  {
-    fname = "lr";
-    ftrain =
-      (fun rng ~n_classes x ys ->
-        let m = Logreg.train rng ~n_classes x ys in
-        {
-          predict = Logreg.predict m;
-          predict_batch = Logreg.predict_batch m;
-          size_bytes = Logreg.size_bytes m;
-        });
-  }
-
-let mlp =
-  {
-    fname = "mlp";
-    ftrain =
-      (fun rng ~n_classes x ys ->
-        let m = Mlp.train rng ~n_classes x ys in
-        {
-          predict = Mlp.predict m;
-          predict_batch = Mlp.predict_batch m;
-          size_bytes = Mlp.size_bytes m;
-        });
-  }
-
-let cnn =
-  {
-    fname = "cnn";
-    ftrain =
-      (fun rng ~n_classes x ys ->
-        let m = Cnn.train rng ~n_classes x ys in
-        {
-          predict = Cnn.predict m;
-          predict_batch = Cnn.predict_batch m;
-          (* the paper's cnn is a memory hog relative to mlp: it keeps the
-             full activation planes; reflect the working-set footprint *)
-          size_bytes = Cnn.size_bytes m + (4 * Features.bytes_of_fmat x);
-        });
-  }
-
-let dgcnn =
-  {
-    gname = "dgcnn";
-    gtrain =
-      (fun rng ~n_classes ~feat_dim graphs ys ->
-        let m = Dgcnn.train rng ~n_classes ~feat_dim graphs ys in
-        { gpredict = Dgcnn.predict m; gsize_bytes = Dgcnn.size_bytes m });
-  }
-
-(** The six models of the paper's Figures 7–12 grids, which all consume the
-    flat HISTOGRAM embedding. *)
-let all_flat : flat list = [ rf; svm; knn; lr; mlp; cnn ]
-
-let find_flat name = List.find_opt (fun m -> m.fname = name) all_flat
-
 (* -- snapshots -------------------------------------------------------------- *)
 
 module Bin = Yali_util.Bin
@@ -149,37 +54,21 @@ let snapshot_kind = function
 
 let snapshot_kinds = [ "rf"; "svm"; "knn"; "lr"; "mlp"; "cnn" ]
 
-let train_snapshot name rng ~n_classes x ys =
-  match name with
-  | "lr" -> Some (S_lr (Logreg.train rng ~n_classes x ys))
-  | "svm" -> Some (S_svm (Svm.train rng ~n_classes x ys))
-  | "knn" -> Some (S_knn (Knn.train ~n_classes x ys))
-  | "mlp" -> Some (S_mlp (Mlp.train rng ~n_classes x ys))
-  | "rf" -> Some (S_rf (Random_forest.train rng ~n_classes x ys))
-  | "cnn" -> Some (S_cnn (Cnn.train rng ~n_classes x ys))
-  | _ -> None
-
-(** The out-of-core counterpart of {!train_snapshot}: lr/svm/mlp/cnn train
-    by minibatch SGD over streamed blocks, rf grows trees per block; knn
-    keeps every training row by definition and materialises the source.  On
-    a source that fits one block the snapshot is bit-identical to
-    {!train_snapshot}'s. *)
-let train_snapshot_stream ?block_rows name rng ~n_classes
-    (src : Fblock.source) ys =
-  match name with
-  | "lr" -> Some (S_lr (Logreg.train_stream ?block_rows rng ~n_classes src ys))
-  | "svm" -> Some (S_svm (Svm.train_stream ?block_rows rng ~n_classes src ys))
-  | "knn" -> Some (S_knn (Knn.train ~n_classes (Fblock.materialize src) ys))
-  | "mlp" -> Some (S_mlp (Mlp.train_stream ?block_rows rng ~n_classes src ys))
-  | "rf" ->
-      Some (S_rf (Random_forest.train_stream ?block_rows rng ~n_classes src ys))
-  | "cnn" -> Some (S_cnn (Cnn.train_stream ?block_rows rng ~n_classes src ys))
-  | _ -> None
-
-(** The graph twin of {!train_snapshot_stream}; delegates to the (single)
-    streamed dgcnn trainer. *)
-let train_dgcnn_stream ?params rng ~n_classes (src : Gsource.t) ys =
-  Dgcnn.train_source ?params rng ~n_classes src ys
+(* Every flat trainer consumes an {!Fblock.source}; an in-memory matrix is a
+   one-block [Mem] source.  knn keeps every training row by definition and
+   materialises the source. *)
+let train_snapshot ?block_rows name rng ~n_classes (src : Fblock.source) ys =
+  if Fblock.rows src = 0 && List.mem name snapshot_kinds then
+    Error (Printf.sprintf "cannot train %s on zero rows" name)
+  else
+    match name with
+    | "lr" -> Ok (S_lr (Logreg.train ?block_rows rng ~n_classes src ys))
+    | "svm" -> Ok (S_svm (Svm.train ?block_rows rng ~n_classes src ys))
+    | "knn" -> Ok (S_knn (Knn.train ~n_classes (Fblock.materialize src) ys))
+    | "mlp" -> Ok (S_mlp (Mlp.train ?block_rows rng ~n_classes src ys))
+    | "rf" -> Ok (S_rf (Random_forest.train ?block_rows rng ~n_classes src ys))
+    | "cnn" -> Ok (S_cnn (Cnn.train ?block_rows rng ~n_classes src ys))
+    | _ -> Error (Printf.sprintf "no snapshot-able model named %s" name)
 
 (** First-maximum index — the arena-wide argmax convention (every model's
     [predict] scans scores left to right and displaces only on a strictly
@@ -239,6 +128,46 @@ let restore = function
         predict_batch = Cnn.predict_batch m;
         size_bytes = Cnn.size_bytes m;
       }
+
+(* A flat model is its snapshot trainer on the matrix as one [Mem] block,
+   restored; [extra_bytes] adds the training-time footprint the paper's
+   Figure 7 charges beyond the weights. *)
+let flat ?(extra_bytes = fun _ -> 0) fname =
+  {
+    fname;
+    ftrain =
+      (fun rng ~n_classes x ys ->
+        match train_snapshot fname rng ~n_classes (Fblock.Mem x) ys with
+        | Error m -> invalid_arg ("Model." ^ fname ^ ".ftrain: " ^ m)
+        | Ok s ->
+            let t = restore s in
+            { t with size_bytes = t.size_bytes + extra_bytes x });
+  }
+
+let rf = flat "rf" ~extra_bytes:Features.bytes_of_fmat
+let svm = flat "svm"
+let knn = flat "knn"
+let lr = flat "lr"
+let mlp = flat "mlp"
+
+(* the paper's cnn is a memory hog relative to mlp: it keeps the full
+   activation planes; reflect the working-set footprint *)
+let cnn = flat "cnn" ~extra_bytes:(fun x -> 4 * Features.bytes_of_fmat x)
+
+let dgcnn =
+  {
+    gname = "dgcnn";
+    gtrain =
+      (fun rng ~n_classes ~feat_dim graphs ys ->
+        let m = Dgcnn.train rng ~n_classes ~feat_dim graphs ys in
+        { gpredict = Dgcnn.predict m; gsize_bytes = Dgcnn.size_bytes m });
+  }
+
+(** The six models of the paper's Figures 7–12 grids, which all consume the
+    flat HISTOGRAM embedding. *)
+let all_flat : flat list = [ rf; svm; knn; lr; mlp; cnn ]
+
+let find_flat name = List.find_opt (fun m -> m.fname = name) all_flat
 
 (* Snapshot blob: magic + u16 version + u8 kind tag + weight payload.
    The magic keeps a model file from ever being confused with an IR blob

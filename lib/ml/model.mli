@@ -13,7 +13,9 @@ type trained = {
   size_bytes : int;
 }
 
-(** A trainable flat model. *)
+(** A trainable flat model: [ftrain] is {!train_snapshot} on the matrix as
+    one [Fblock.Mem] block, then {!restore}; it raises [Invalid_argument]
+    on a matrix with no rows. *)
 type flat = {
   fname : string;
   ftrain :
@@ -61,7 +63,7 @@ val find_flat : string -> flat option
     bit-exactly: {!restore} of a saved-and-loaded snapshot predicts
     bit-identically to the in-memory trained model.  Every flat model has a
     snapshot form; the graph-consuming [dgcnn] does not (margins and the
-    registry are flat-vector interfaces — see {!train_dgcnn_stream} for its
+    registry are flat-vector interfaces — [Dgcnn.train_source] is its
     streamed trainer). *)
 
 type snapshot =
@@ -78,45 +80,24 @@ val snapshot_kind : snapshot -> string
 (** Names accepted by {!train_snapshot}, in registry order. *)
 val snapshot_kinds : string list
 
-(** Train the named model and capture its weights.  [None] for unknown
-    names.  The trained model behind the snapshot is exactly
-    [find_flat name].ftrain on the same inputs (same rng consumption). *)
+(** Train the named model over a feature source and capture its weights
+    (DESIGN.md §12): lr/svm/mlp/cnn run minibatch SGD over the blocks, rf
+    grows its trees over them, knn materialises the source (it keeps every
+    row by definition).  An in-memory matrix is passed as [Fblock.Mem x],
+    one block unless [block_rows] is given; that is the training behind
+    [(find_flat name).ftrain] (same rng consumption).  [Error] for unknown
+    names and for a source with zero rows. *)
 val train_snapshot :
-  string ->
-  Yali_util.Rng.t ->
-  n_classes:int ->
-  Fmat.t ->
-  int array ->
-  snapshot option
-
-(** {!train_snapshot} over a streamed feature source (out-of-core
-    training, DESIGN.md §12).  lr/svm/mlp/cnn run minibatch SGD over
-    blocks, rf grows trees block-by-block, knn materialises (it keeps every
-    row by definition).  On a source that fits one [block_rows] the
-    snapshot is bit-identical to {!train_snapshot}'s. *)
-val train_snapshot_stream :
   ?block_rows:int ->
   string ->
   Yali_util.Rng.t ->
   n_classes:int ->
   Fblock.source ->
   int array ->
-  snapshot option
-
-(** The graph twin of {!train_snapshot_stream}: train the [dgcnn] over a
-    streamed graph source ({!Gsource.t}), holding only one minibatch of
-    graphs at a time.  Bit-identical to [Dgcnn.train] on the materialised
-    array (they share the same trainer). *)
-val train_dgcnn_stream :
-  ?params:Dgcnn.params ->
-  Yali_util.Rng.t ->
-  n_classes:int ->
-  Gsource.t ->
-  int array ->
-  Dgcnn.t
+  (snapshot, string) result
 
 (** The predictor of a snapshot; class decisions are identical to the
-    {!trained} returned by the original [ftrain]. *)
+    {!trained} returned by [ftrain] on the same inputs. *)
 val restore : snapshot -> trained
 
 (** First-maximum index of a score vector — the argmax convention shared by

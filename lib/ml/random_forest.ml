@@ -1,10 +1,10 @@
 (** Random forests: bagged CART trees with sqrt-feature subsampling and
     majority voting — the paper's consistently best model (§4.2).
 
-    The training matrix is binned once ({!Decision_tree.prebin}) and the
-    read-only binning is shared by all trees; each bootstrap sample is an
-    index array into the shared matrix, so bagging copies no feature data
-    at all. *)
+    An in-memory training matrix is binned once ({!Decision_tree.prebin})
+    and the read-only binning is shared by all trees; each bootstrap sample
+    is an index array into the shared matrix, so bagging copies no feature
+    data at all. *)
 
 module Rng = Yali_util.Rng
 
@@ -14,39 +14,7 @@ type params = { n_trees : int; max_depth : int }
 
 let default_params = { n_trees = 64; max_depth = 24 }
 
-let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
-    (x : Fmat.t) (ys : int array) : t =
-  let n = x.Fmat.n in
-  let d = x.Fmat.d in
-  let fps = max 1 (max (int_of_float (sqrt (float_of_int d))) (d / 2)) in
-  let tree_params =
-    {
-      Decision_tree.max_depth = params.max_depth;
-      min_samples_split = 2;
-      features_per_split = Some fps;
-    }
-  in
-  (* one global binning, shared read-only across all trees *)
-  let pb = Decision_tree.prebin x in
-  (* pre-derive one stream per tree (identical to the former
-     split-per-iteration loop), then bag and grow the trees in parallel:
-     each task owns its stream, so the forest is the same at any [jobs] *)
-  let tree_rngs = Rng.split_n rng params.n_trees in
-  let trees =
-    Yali_exec.Pool.parallel_array_map
-      (fun tree_rng ->
-        (* bootstrap sample: indices into the shared matrix *)
-        let bidx = Array.make n 0 in
-        for i = 0 to n - 1 do
-          bidx.(i) <- Rng.int tree_rng n
-        done;
-        Decision_tree.train ~params:tree_params ~prebinned:pb ~sample:bidx
-          tree_rng ~n_classes x ys)
-      tree_rngs
-  in
-  { trees; n_classes }
-
-(* Per-tree bootstrap cap for the streamed path: bounds gather memory at
+(* Per-tree bootstrap cap for the multi-block path: bounds gather memory at
    [gather_group * max_tree_rows * d] floats no matter how big the corpus
    grows.  The group size is a constant, not the pool width, so the forest
    is the same at any [jobs]. *)
@@ -54,17 +22,17 @@ let max_tree_rows = 65536
 
 let gather_group = 8
 
-(** Incremental forest growth over streamed blocks.  Each tree bootstraps
-    over the {e whole} row range — same draw order as {!train} — and the
-    blocks are then streamed once per group of {!gather_group} trees,
-    copying only the rows a tree actually sampled into a per-tree gather
-    matrix (unique rows; duplicates stay index-level, as in {!train}).
-    Resident memory is one block plus one group's gathers, bounded by
-    {!max_tree_rows}.  When the source fits a single block the code takes
-    the in-memory path verbatim: same pre-derived per-tree streams, same
-    bootstrap draws, same shared binning — the forest is bit-identical to
-    {!train}'s. *)
-let train_stream ?(params = default_params) ?block_rows (rng : Rng.t)
+(** Forest growth over streamed blocks.  Every tree owns a stream
+    pre-derived from [rng], so the forest is the same at any [jobs].  On a
+    single block (an in-memory [Mem] matrix) the block is binned once and
+    shared read-only by all trees, each bagging an index array into it.
+    On several blocks each tree bootstraps over the {e whole} row range
+    and the blocks are then streamed once per group of {!gather_group}
+    trees, copying only the rows a tree actually sampled into a per-tree
+    gather matrix (unique rows; duplicates stay index-level).  Resident
+    memory is one block plus one group's gathers, bounded by
+    {!max_tree_rows}. *)
+let train ?(params = default_params) ?block_rows (rng : Rng.t)
     ~(n_classes : int) (src : Fblock.source) (ys : int array) : t =
   let n = Fblock.rows src in
   let d = Fblock.dim src in
@@ -95,8 +63,8 @@ let train_stream ?(params = default_params) ?block_rows (rng : Rng.t)
     { trees = !trees; n_classes }
   end
   else begin
-    (* draw every tree's bootstrap up front (global row indices, the same
-       rng order [train] uses), then gather and grow group by group *)
+    (* draw every tree's bootstrap up front (global row indices, in the
+       one-block path's rng order), then gather and grow group by group *)
     let s = min n max_tree_rows in
     let samples =
       Array.map (fun tr -> Array.init s (fun _ -> Rng.int tr n)) tree_rngs

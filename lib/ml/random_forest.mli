@@ -11,18 +11,13 @@ type params = { n_trees : int; max_depth : int }
 
 val default_params : params
 
+(** Grow the forest over the blocks of a feature source.  On one block (an
+    in-memory matrix passed as [Fblock.Mem x], unless [block_rows] is
+    given) every tree bags index arrays into that block.  On several, each
+    tree bootstraps over the whole row range and gathers only its sampled
+    rows, group by group, so one block plus one group's gathers is
+    resident. *)
 val train :
-  ?params:params ->
-  Yali_util.Rng.t ->
-  n_classes:int ->
-  Fmat.t ->
-  int array ->
-  t
-
-(** Incremental growth over streamed feature blocks: trees are dealt
-    round-robin over blocks and each grows on its block alone (at most one
-    block resident).  One block = bit-identical to {!train}. *)
-val train_stream :
   ?params:params ->
   ?block_rows:int ->
   Yali_util.Rng.t ->

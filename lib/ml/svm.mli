@@ -7,17 +7,10 @@ type params = { epochs : int; lambda : float; step_offset : float }
 
 val default_params : params
 
+(** Pegasos over the blocks of a feature source; the step counter and
+    averaging window stay global.  An in-memory matrix is passed as
+    [Fblock.Mem x], one block unless [block_rows] is given. *)
 val train :
-  ?params:params ->
-  Yali_util.Rng.t ->
-  n_classes:int ->
-  Fmat.t ->
-  int array ->
-  t
-
-(** Pegasos over streamed feature blocks; the step counter and averaging
-    window stay global.  One block = bit-identical to {!train}. *)
-val train_stream :
   ?params:params ->
   ?block_rows:int ->
   Yali_util.Rng.t ->

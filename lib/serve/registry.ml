@@ -173,9 +173,12 @@ let train ~seed ~embedding ~kind ~n_classes ~per_class =
   in
   let x = Yali_games.Arena.embed_fmat embedding modules in
   let ys = Array.map snd modules in
-  match Model.train_snapshot kind (Rng.split rng) ~n_classes x ys with
-  | None -> Error (Printf.sprintf "no snapshot-able model named %s" kind)
-  | Some snapshot ->
+  match
+    Model.train_snapshot kind (Rng.split rng) ~n_classes (Yali_ml.Fblock.Mem x)
+      ys
+  with
+  | Error _ as e -> e
+  | Ok snapshot ->
       let meta =
         {
           kind;

@@ -202,8 +202,9 @@ let test_fblock_roundtrip_bitexact () =
 
 (* -- out-of-core training ----------------------------------------------------- *)
 
-(* One epoch, source fits one block: the streamed logreg must reproduce the
-   in-memory weights to 1e-9 (they are in fact byte-identical). *)
+(* One epoch on the in-memory matrix and on its one-block feature file: the
+   file path must reproduce the in-memory weights to 1e-9 (they are in fact
+   byte-identical). *)
 let test_stream_logreg_one_epoch () =
   with_temp_dir (fun dir ->
       let spec = small_spec 42 in
@@ -224,10 +225,10 @@ let test_stream_logreg_one_epoch () =
               let params = { Logreg.default_params with epochs = 1 } in
               let inmem =
                 Logreg.train ~params (Rng.make 7)
-                  ~n_classes:spec.Gen.n_classes x ys
+                  ~n_classes:spec.Gen.n_classes (Fblock.Mem x) ys
               in
               let streamed =
-                Logreg.train_stream ~params ~block_rows:x.Fmat.n (Rng.make 7)
+                Logreg.train ~params ~block_rows:x.Fmat.n (Rng.make 7)
                   ~n_classes:spec.Gen.n_classes (Fblock.Disk fr) ys
               in
               let wa = (Logreg.weights inmem).Yali.Ml.Matrix.data in
@@ -260,8 +261,8 @@ let test_stream_multiblock_deterministic () =
             Fun.protect
               ~finally:(fun () -> Fblock.close_reader fr)
               (fun () ->
-                Option.get
-                  (Model.train_snapshot_stream ~block_rows:4 "lr"
+                Result.get_ok
+                  (Model.train_snapshot ~block_rows:4 "lr"
                      (Rng.make 3) ~n_classes:spec.Gen.n_classes
                      (Fblock.Disk fr) ys))
           in
@@ -288,6 +289,48 @@ let test_train_records_provenance () =
           Alcotest.(check string) "provenance survives the registry codec"
             entry.Registry.meta.source back.Registry.meta.source)
 
+(* A corpus with no records must not yield a model that crashes on its
+   first prediction: training it is an error. *)
+let test_train_rejects_empty_corpus () =
+  with_temp_dir (fun dir ->
+      Gen.generate ~dir ~records_per_shard:5 { (small_spec 8) with per_class = 0 };
+      List.iter
+        (fun kind ->
+          match
+            Ctrain.train ~dir ~embedding:Embedding.histogram ~kind ~seed:9 ()
+          with
+          | Ok _ -> Alcotest.failf "%s trained on an empty corpus" kind
+          | Error _ -> ())
+        [ "lr"; "rf" ])
+
+(* Only Fblock decides blocking: an in-memory source is one block however
+   many rows it has, a file is cut at default_block_rows. *)
+let test_fblock_default_blocking () =
+  with_temp_dir (fun dir ->
+      let n = Fblock.default_block_rows + 1 in
+      let x = Fmat.create n 1 in
+      let mem = Fblock.Mem x in
+      let path = Filename.concat dir "m.yfmb" in
+      Fblock.to_file path x;
+      let fr = Fblock.open_reader path in
+      Fun.protect
+        ~finally:(fun () -> Fblock.close_reader fr)
+        (fun () ->
+          let disk = Fblock.Disk fr in
+          let visits src =
+            let k = ref 0 in
+            Fblock.iter_blocks src (fun _ _ -> incr k);
+            !k
+          in
+          Alcotest.(check int) "Mem: one block" 1 (Fblock.n_blocks mem);
+          Alcotest.(check int) "Mem: one visit" 1 (visits mem);
+          Alcotest.(check int) "Mem: block size = rows" n
+            (Fblock.block_size mem);
+          Alcotest.(check int) "Disk: two blocks" 2 (Fblock.n_blocks disk);
+          Alcotest.(check int) "Disk: two visits" 2 (visits disk);
+          Alcotest.(check int) "explicit block_rows splits Mem" 3
+            (Fblock.n_blocks ~block_rows:(n / 2) mem)))
+
 let suite =
   [
     Alcotest.test_case "spec strings round-trip" `Quick
@@ -309,6 +352,10 @@ let suite =
       test_stream_logreg_one_epoch;
     Alcotest.test_case "multi-block streaming is deterministic" `Quick
       test_stream_multiblock_deterministic;
+    Alcotest.test_case "training an empty corpus is an error" `Quick
+      test_train_rejects_empty_corpus;
+    Alcotest.test_case "Mem is one block, Disk cuts at the default" `Quick
+      test_fblock_default_blocking;
     Alcotest.test_case "corpus training records provenance" `Quick
       test_train_records_provenance;
   ]

@@ -226,7 +226,9 @@ let test_margins_agree_with_predict () =
   List.iter
     (fun kind ->
       let s =
-        Option.get (Ml.Model.train_snapshot kind (Rng.make 13) ~n_classes:3 fx ys)
+        Result.get_ok
+          (Ml.Model.train_snapshot kind (Rng.make 13) ~n_classes:3
+             (Ml.Fblock.Mem fx) ys)
       in
       let t = Ml.Model.restore s in
       Array.iter
@@ -248,7 +250,9 @@ let test_margins_survive_save_load () =
   List.iter
     (fun kind ->
       let s =
-        Option.get (Ml.Model.train_snapshot kind (Rng.make 19) ~n_classes:2 fx ys)
+        Result.get_ok
+          (Ml.Model.train_snapshot kind (Rng.make 19) ~n_classes:2
+             (Ml.Fblock.Mem fx) ys)
       in
       let s' = Ml.Model.load (Ml.Model.save s) in
       Array.iter
@@ -259,6 +263,59 @@ let test_margins_survive_save_load () =
             (Ml.Model.margins s v = Ml.Model.margins s' v))
         xs)
     Ml.Model.snapshot_kinds
+
+(* Golden weights: the digest of every kind's Model.save blob on a fixed
+   dataset, trained on the matrix as one block and as blocks of 5 rows.
+   They pin the exact bits of every trainer, svm and mlp included, which
+   have no frozen reference twin: any change to a trainer's arithmetic,
+   rng use or blocking moves a digest. *)
+let golden_digests =
+  [
+    ("rf", "5054926da2fb7c9c65357d495dcda116", "5054926da2fb7c9c65357d495dcda116");
+    ("svm", "0aeff3a36dde6f6e3e1e97433e0f8a1b", "d93860c794c5bcea6e3d3ae7c8ba4d03");
+    ("knn", "938eeedcdc0c250bd0eb70bb92d0349f", "938eeedcdc0c250bd0eb70bb92d0349f");
+    ("lr", "9fbcf340061069b3c628283295f80f31", "19d1839b642f0c1b97bac07e672d7449");
+    ("mlp", "ac2b626c7780d44eca5310bffbdce73e", "e351d0297b6b0a3b5b3d97bc22066720");
+    ("cnn", "5f7033887400b58a697ea04ff2857cbe", "45cf7609c5e7df62d317df89109893b6");
+  ]
+
+let test_golden_weights () =
+  let rng = Rng.make 2027 in
+  let n_classes = 3 and per = 8 and d = 18 in
+  let xs =
+    Array.init (n_classes * per) (fun i ->
+        Array.init d (fun k ->
+            Rng.gaussian rng
+            +. if k mod n_classes = i mod n_classes then 3.0 else 0.0))
+  in
+  let ys = Array.init (n_classes * per) (fun i -> i mod n_classes) in
+  let src = Ml.Fblock.Mem (Ml.Fmat.of_rows xs) in
+  let digest ?block_rows kind =
+    match Ml.Model.train_snapshot ?block_rows kind (Rng.make 17) ~n_classes src ys with
+    | Ok s -> Digest.to_hex (Digest.string (Ml.Model.save s))
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check (list string)) "every snapshot kind pinned"
+    Ml.Model.snapshot_kinds (List.map (fun (k, _, _) -> k) golden_digests);
+  List.iter
+    (fun (kind, one, multi) ->
+      Alcotest.(check string) (kind ^ ": one block") one (digest kind);
+      Alcotest.(check string) (kind ^ ": blocks of 5") multi
+        (digest ~block_rows:5 kind))
+    golden_digests
+
+let test_train_rejects_zero_rows () =
+  let empty = Ml.Fblock.Mem (Ml.Fmat.create 0 4) in
+  List.iter
+    (fun kind ->
+      match Ml.Model.train_snapshot kind (Rng.make 1) ~n_classes:2 empty [||] with
+      | Ok _ -> Alcotest.failf "%s trained on zero rows" kind
+      | Error _ -> ())
+    Ml.Model.snapshot_kinds;
+  Alcotest.check_raises "ftrain on zero rows"
+    (Invalid_argument "Model.rf.ftrain: cannot train rf on zero rows")
+    (fun () ->
+      ignore (Ml.Model.rf.ftrain (Rng.make 1) ~n_classes:2 (Ml.Fmat.create 0 4) [||]))
 
 let test_argmax_first_maximum () =
   Alcotest.(check int) "plain max" 2 (Ml.Model.argmax [| 0.; 1.; 5.; 3. |]);
@@ -354,6 +411,10 @@ let suite =
       Alcotest.test_case "argmax first-maximum convention" `Quick
         test_argmax_first_maximum;
       Alcotest.test_case "model registry" `Quick test_model_registry;
+      Alcotest.test_case "golden weights, one block and blocks of 5" `Slow
+        test_golden_weights;
+      Alcotest.test_case "training rejects zero rows" `Quick
+        test_train_rejects_zero_rows;
       Alcotest.test_case "dgcnn learns" `Slow test_dgcnn_learns_graph_sizes;
       Alcotest.test_case "dgcnn empty graph" `Quick test_dgcnn_handles_empty_graph;
     ]

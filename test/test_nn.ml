@@ -86,7 +86,9 @@ let cnn_differential ~(d : int) () =
   let mk_data () = blobs (Rng.make 11) ~n_classes:3 ~n:70 ~d in
   let params = { Ml.Cnn.default_params with epochs = 3 } in
   let x, ys = mk_data () in
-  let kernel = Ml.Cnn.train ~params (Rng.make 7) ~n_classes:3 x ys in
+  let kernel =
+    Ml.Cnn.train ~params (Rng.make 7) ~n_classes:3 (Ml.Fblock.Mem x) ys
+  in
   let x, ys = mk_data () in
   let naive = Ml.Reference.Cnn.train ~params (Rng.make 7) ~n_classes:3 x ys in
   Alcotest.check weights "cnn weights identical"
@@ -118,7 +120,8 @@ let test_cnn_jobs_invariant () =
   let train jobs =
     Pool.with_jobs jobs (fun () ->
         let x, ys = blobs (Rng.make 11) ~n_classes:3 ~n:70 ~d:24 in
-        Ml.Cnn.dump_weights (Ml.Cnn.train ~params (Rng.make 7) ~n_classes:3 x ys))
+        Ml.Cnn.dump_weights
+          (Ml.Cnn.train ~params (Rng.make 7) ~n_classes:3 (Ml.Fblock.Mem x) ys))
   in
   Alcotest.check weights "cnn --jobs 1 = --jobs 4" (train 1) (train 4)
 
@@ -134,14 +137,22 @@ let test_dgcnn_jobs_invariant () =
 
 (* -- streamed vs in-memory --------------------------------------------------- *)
 
+(* The in-memory matrix against the same rows read back as one block of an
+   on-disk feature file. *)
 let test_cnn_stream_one_block () =
   let params = { Ml.Cnn.default_params with epochs = 3 } in
   let x, ys = blobs (Rng.make 11) ~n_classes:3 ~n:70 ~d:24 in
-  let inmem = Ml.Cnn.train ~params (Rng.make 7) ~n_classes:3 x ys in
-  let x, _ = blobs (Rng.make 11) ~n_classes:3 ~n:70 ~d:24 in
+  let train src = Ml.Cnn.train ~params (Rng.make 7) ~n_classes:3 src ys in
+  let inmem = train (Ml.Fblock.Mem x) in
+  let path = Filename.temp_file "yali_test_nn" ".yfmb" in
+  Ml.Fblock.to_file path x;
+  let fr = Ml.Fblock.open_reader path in
   let streamed =
-    Ml.Cnn.train_stream ~params (Rng.make 7) ~n_classes:3 (Ml.Fblock.of_fmat x)
-      ys
+    Fun.protect
+      ~finally:(fun () ->
+        Ml.Fblock.close_reader fr;
+        Sys.remove path)
+      (fun () -> train (Ml.Fblock.Disk fr))
   in
   Alcotest.check weights "one block = in-memory"
     (Ml.Cnn.dump_weights inmem) (Ml.Cnn.dump_weights streamed)
@@ -153,7 +164,7 @@ let test_dgcnn_stream_vs_inmem () =
       graphs ys
   in
   let streamed =
-    Ml.Model.train_dgcnn_stream ~params:dgcnn_params (Rng.make 17)
+    Ml.Dgcnn.train_source ~params:dgcnn_params (Rng.make 17)
       ~n_classes:2 (Ml.Gsource.of_graphs graphs) ys
   in
   Alcotest.check weights "gsource = in-memory"
@@ -233,7 +244,9 @@ let test_transpose_cache_invalidation () =
 let test_cnn_snapshot_roundtrip () =
   let x, ys = blobs (Rng.make 11) ~n_classes:3 ~n:70 ~d:24 in
   let s =
-    Option.get (Ml.Model.train_snapshot "cnn" (Rng.make 7) ~n_classes:3 x ys)
+    Result.get_ok
+      (Ml.Model.train_snapshot "cnn" (Rng.make 7) ~n_classes:3
+         (Ml.Fblock.Mem x) ys)
   in
   let s' = Ml.Model.load (Ml.Model.save s) in
   Alcotest.(check string) "kind" "cnn" (Ml.Model.snapshot_kind s');

@@ -12,6 +12,7 @@ module Server = Serve.Server
 module Client = Serve.Client
 module Model = Yali.Ml.Model
 module Fmat = Yali.Ml.Fmat
+module Fblock = Yali.Ml.Fblock
 module Rng = Yali.Rng
 module Pipeline = Yali.Transforms.Pipeline
 
@@ -182,9 +183,11 @@ let test_snapshot_save_load_bit_identity () =
   let x, y, rows, n_classes = synthetic_training () in
   List.iter
     (fun kind ->
-      match Model.train_snapshot kind (Rng.make 23) ~n_classes x y with
-      | None -> Alcotest.failf "%s: no snapshot form" kind
-      | Some snap ->
+      match
+        Model.train_snapshot kind (Rng.make 23) ~n_classes (Fblock.Mem x) y
+      with
+      | Error m -> Alcotest.failf "%s: %s" kind m
+      | Ok snap ->
           let blob = Model.save snap in
           let snap' = Model.load blob in
           Alcotest.(check string)
@@ -204,7 +207,10 @@ let test_snapshot_save_load_bit_identity () =
 
 let test_snapshot_rejects_corruption () =
   let x, y, _, n_classes = synthetic_training () in
-  let snap = Option.get (Model.train_snapshot "knn" (Rng.make 3) ~n_classes x y) in
+  let snap =
+    Result.get_ok
+      (Model.train_snapshot "knn" (Rng.make 3) ~n_classes (Fblock.Mem x) y)
+  in
   let blob = Model.save snap in
   let bad name s =
     match Model.load s with
@@ -250,7 +256,10 @@ let test_registry_spec_parsing () =
 let test_registry_publish_and_load () =
   with_temp_dir (fun dir ->
       let x, y, _, n_classes = synthetic_training () in
-      let snap = Option.get (Model.train_snapshot "rf" (Rng.make 8) ~n_classes x y) in
+      let snap =
+        Result.get_ok
+          (Model.train_snapshot "rf" (Rng.make 8) ~n_classes (Fblock.Mem x) y)
+      in
       let meta =
         {
           Registry.kind = "rf";
@@ -300,7 +309,9 @@ let test_registry_roundtrip_margins () =
       List.iter
         (fun kind ->
           let snap =
-            Option.get (Model.train_snapshot kind (Rng.make 29) ~n_classes x y)
+            Result.get_ok
+              (Model.train_snapshot kind (Rng.make 29) ~n_classes
+                 (Fblock.Mem x) y)
           in
           let meta =
             {
@@ -375,6 +386,62 @@ let await_socket path =
   in
   go 200
 
+(* A recipe with no training rows is an error, not a published model that
+   fails on its first prediction. *)
+let test_registry_train_rejects_empty () =
+  List.iter
+    (fun (n_classes, per_class) ->
+      match
+        Registry.train ~seed:5 ~embedding:Yali.Embeddings.Embedding.histogram
+          ~kind:"lr" ~n_classes ~per_class
+      with
+      | Ok _ ->
+          Alcotest.failf "trained on classes=%d per=%d" n_classes per_class
+      | Error _ -> ())
+    [ (4, 0); (0, 3) ]
+
+(* [yali train] refuses sizes below 1 with the usage exit code, before it
+   trains or publishes anything. *)
+let test_cli_train_rejects_bad_sizes () =
+  let cli =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      (Filename.concat "bin" "yali_cli.exe")
+  in
+  with_temp_dir (fun dir ->
+      (* the corpus fills [dir] itself; a refused run must not create the
+         registry below it *)
+      let registry = Filename.concat dir "models" in
+      Yali.Corpus.Gen.generate ~dir ~records_per_shard:4
+        { Yali.Corpus.Gen.dataset = "poj"; seed = 1; n_classes = 2; per_class = 2 };
+      List.iter
+        (fun args ->
+          let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+          let pid =
+            Fun.protect
+              ~finally:(fun () -> Unix.close devnull)
+              (fun () ->
+                Unix.create_process cli
+                  (Array.of_list
+                     ([ cli; "train"; "-m"; "lr"; "--registry"; registry ]
+                     @ args))
+                  Unix.stdin devnull devnull)
+          in
+          let status = snd (Unix.waitpid [] pid) in
+          Alcotest.(check bool)
+            (String.concat " " args ^ ": exit 2")
+            true
+            (status = Unix.WEXITED 2);
+          Alcotest.(check bool)
+            (String.concat " " args ^ ": nothing published")
+            false (Sys.file_exists registry))
+        [
+          [ "--classes"; "0" ];
+          [ "--per-class"; "0" ];
+          [ "--per-class=-3" ];
+          [ "--corpus"; dir; "--block-rows"; "0" ];
+        ])
+
 let test_daemon_end_to_end () =
   with_temp_dir (fun dir ->
       let socket = Filename.concat dir "test.sock" in
@@ -447,6 +514,10 @@ let suite =
       test_registry_publish_and_load;
     Alcotest.test_case "registry round-trip preserves margins" `Quick
       test_registry_roundtrip_margins;
+    Alcotest.test_case "registry train rejects zero rows" `Quick
+      test_registry_train_rejects_empty;
+    Alcotest.test_case "yali train rejects sizes below 1" `Quick
+      test_cli_train_rejects_bad_sizes;
     Alcotest.test_case "daemon end-to-end over a unix socket" `Slow
       test_daemon_end_to_end;
   ]
